@@ -35,7 +35,7 @@ def _cmd_sig(args) -> int:
 def _cmd_run(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    if args.seed is not None:
+    if args.seed is not None and isinstance(raw, dict):
         raw["seed"] = args.seed
     cfg = ExperimentConfig.from_dict(raw)
     csv_path, _ = run_config(cfg, out=args.out, append=args.append)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -19,7 +20,10 @@ import numpy as np
 
 from .paths import dyadic_times, max_increment_ratio, refine_times
 from .regress import features_from_values, fit, trapezoid_weights
-from .signature import LinearFunctional, levy_area_functional, stream_table
+from .signature import LinearFunctional, levy_area_functional
+# Not called here any more; still bound so that tools wrapping the stream
+# layer by name (benchmarks/op.py) find it.
+from .signature import stream_table  # noqa: F401
 from .stochastic import make_vector_field, sample_brownian_batch, solve_ode_batch
 
 __all__ = [
@@ -89,6 +93,43 @@ _DEFAULTS_BY_KIND = {
 }
 
 
+# Field types checked by ExperimentConfig.from_dict.  Values keep the type
+# they were given (an int p stays int), so config_hash is unchanged for every
+# config that parses.
+_INT_KEYS = ("seed", "d", "n_samples", "m", "substeps", "n_max")
+_INT_LIST_KEYS = ("depths", "levels")
+_NUMBER_KEYS = ("T", "p", "alpha", "beta", "gamma", "lam", "a", "b", "y0")
+
+
+def _check_int(key, value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
+def _int_list(key, value) -> tuple:
+    """Entries may be integral floats, converted as they always were."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of integers, got {value!r}")
+    out = []
+    for v in value:
+        if isinstance(v, float) and v.is_integer():
+            v = int(v)
+        _check_int(f"{key} entry", v)
+        out.append(v)
+    return tuple(out)
+
+
+def _check_number(key, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -115,6 +156,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
         raw = dict(raw)
         kind = raw.pop("kind", None)
         if kind not in EXPERIMENT_KINDS:
@@ -125,10 +168,17 @@ class ExperimentConfig:
             if key not in known:
                 raise ConfigError(f"unknown config key {key!r}")
             merged[key] = value
-        if "depths" in merged:
-            merged["depths"] = tuple(int(v) for v in merged["depths"])
-        if "levels" in merged:
-            merged["levels"] = tuple(int(v) for v in merged["levels"])
+        for key in _INT_LIST_KEYS:
+            if key in merged:
+                merged[key] = _int_list(key, merged[key])
+        for key in _INT_KEYS:
+            if key in merged:
+                _check_int(key, merged[key])
+        for key in _NUMBER_KEYS:
+            if merged.get(key) is not None:
+                _check_number(key, merged[key])
+        if merged.get("out") is not None and not isinstance(merged["out"], str):
+            raise ConfigError(f"out must be a path string, got {merged['out']!r}")
         if "n_max" not in merged and kind in ("functional", "ode", "moments"):
             merged["n_max"] = max(merged["depths"])
         cfg = cls(kind=kind, **merged)
@@ -141,8 +191,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {c.kind!r}")
         if c.kind == "sig":
             return
-        if not isinstance(c.seed, int) or c.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
+        if not isinstance(c.seed, int) or not 0 <= c.seed < 2**64:
+            raise ConfigError("seed must be an integer in [0, 2**64)")
         if c.d < 1 or c.T <= 0:
             raise ConfigError("need d >= 1 and T > 0")
         if not c.depths:
@@ -372,14 +422,13 @@ def _upsample_dyadic(values: np.ndarray, gap: int) -> np.ndarray:
 
 def run_levy(cfg: ExperimentConfig):
     functional = _levy_functional(cfg.target)
-    cvec = functional.coefficient_vector()
-    level = functional.level
     depths = sorted(cfg.depths)
     # All depths are compared on one quadrature grid strictly finer than the
     # finest experiment depth (coordinate functionals have no error at their
     # own breakpoints); coarse paths are refined onto it without change.
     eval_depth = depths[-1] + 1
     eval_times = dyadic_times(cfg.T, eval_depth)
+    fine_times = dyadic_times(cfg.T, cfg.n_max)
     ref_idx = np.arange(2**eval_depth + 1) * 2 ** (cfg.n_max - eval_depth)
     weights = trapezoid_weights(eval_times)
     acc = {dep: 0.0 for dep in depths}
@@ -387,12 +436,11 @@ def run_levy(cfg: ExperimentConfig):
     for start in range(0, cfg.n_samples, _LEVY_CHUNK):
         idx = np.arange(start, min(start + _LEVY_CHUNK, cfg.n_samples))
         fine = sample_brownian_batch(cfg.seed, idx, 2, cfg.T, cfg.n_max)
-        fine_times = dyadic_times(cfg.T, cfg.n_max)
-        ref_vals = stream_table(_hat(fine_times, fine), level, eval_idx=ref_idx) @ cvec
+        ref_vals = functional.apply_stream(_hat(fine_times, fine), eval_idx=ref_idx)
         for dep in depths:
             stride = 2 ** (cfg.n_max - dep)
             coarse = _upsample_dyadic(fine[:, ::stride, :], eval_depth - dep)
-            vals = stream_table(_hat(eval_times, coarse), level) @ cvec
+            vals = functional.apply_stream(_hat(eval_times, coarse))
             delta = vals - ref_vals
             acc[dep] += float(np.sum(weights * np.abs(delta) ** cfg.p))
     distances = {

@@ -18,6 +18,7 @@ __all__ = [
     "PathFormatError",
     "check_partition",
     "dyadic_times",
+    "nearest_breakpoints",
     "time_extend",
     "insert_breakpoint",
     "holder_norm",
@@ -52,6 +53,13 @@ def dyadic_times(T: float, depth: int) -> np.ndarray:
     keeps shared points bit-identical across depths."""
     n = 2**depth
     return np.arange(n + 1, dtype=float) * T / float(n)
+
+
+def nearest_breakpoints(times: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Index of the breakpoint nearest each query time (ties go left)."""
+    pos = np.clip(np.searchsorted(times, query), 1, times.size - 1)
+    left_closer = np.abs(query - times[pos - 1]) <= np.abs(times[pos] - query)
+    return np.where(left_closer, pos - 1, pos)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .paths import nearest_breakpoints
 from .signature import LinearFunctional, SignatureStream, signature_stream, stream_table
 from .tensor import total_entries
 from .words import all_words
@@ -127,14 +128,6 @@ def features_from_values(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _snap_indices(times: np.ndarray, eval_times: np.ndarray) -> np.ndarray:
-    if (eval_times < times[0]).any() or (eval_times > times[-1]).any():
-        raise ValueError("eval time outside the path horizon")
-    pos = np.clip(np.searchsorted(times, eval_times), 1, times.size - 1)
-    left_closer = np.abs(eval_times - times[pos - 1]) <= np.abs(times[pos] - eval_times)
-    return np.unique(np.where(left_closer, pos - 1, pos))
-
-
 def build_features(items, level: int, mode: str = "terminal", eval_times=None) -> FeatureMatrix:
     """Features from a list of paths or signature streams on one partition.
 
@@ -161,11 +154,13 @@ def build_features(items, level: int, mode: str = "terminal", eval_times=None) -
             values[:, -1, :], streams[0].dim, level, np.arange(len(streams))
         )
     if mode == "stopped":
-        idx = (
-            np.arange(times.size)
-            if eval_times is None
-            else _snap_indices(times, np.asarray(eval_times, dtype=float))
-        )
+        if eval_times is None:
+            idx = np.arange(times.size)
+        else:
+            eval_times = np.asarray(eval_times, dtype=float)
+            if (eval_times < times[0]).any() or (eval_times > times[-1]).any():
+                raise ValueError("eval time outside the path horizon")
+            idx = np.unique(nearest_breakpoints(times, eval_times))
         eval_t = times[idx]
         weights = trapezoid_weights(eval_t)
         rows = values[:, idx, :].reshape(len(streams) * idx.size, width)

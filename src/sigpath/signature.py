@@ -7,6 +7,7 @@ equals the iterated Riemann-Stieltjes integrals of the interpolated path.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "signature",
     "signature_stream",
     "stream_table",
+    "word_streams",
     "reverse_check",
     "levy_area_functional",
 ]
@@ -73,6 +75,19 @@ def signature(path: PiecewiseLinearPath, level: int) -> GroupLikeTensor:
     return TruncatedTensor(path.dim, level, cur)
 
 
+def _check_eval_idx(eval_idx, n_pts: int) -> np.ndarray:
+    if eval_idx is None:
+        return np.arange(n_pts)
+    eval_idx = np.asarray(eval_idx, dtype=int)
+    if eval_idx.size and (
+        (np.diff(eval_idx) <= 0).any()
+        or eval_idx[0] < 0
+        or eval_idx[-1] >= n_pts
+    ):
+        raise ValueError("eval_idx must be increasing breakpoint indices")
+    return eval_idx
+
+
 def stream_table(values: np.ndarray, level: int, eval_idx=None) -> np.ndarray:
     """Signature stream of the piecewise linear path through `values`.
 
@@ -87,15 +102,7 @@ def stream_table(values: np.ndarray, level: int, eval_idx=None) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     n_pts, m = values.shape[-2], values.shape[-1]
     batch = values.shape[:-2]
-    if eval_idx is None:
-        eval_idx = np.arange(n_pts)
-    eval_idx = np.asarray(eval_idx, dtype=int)
-    if eval_idx.size and (
-        (np.diff(eval_idx) <= 0).any()
-        or eval_idx[0] < 0
-        or eval_idx[-1] >= n_pts
-    ):
-        raise ValueError("eval_idx must be increasing breakpoint indices")
+    eval_idx = _check_eval_idx(eval_idx, n_pts)
     width = total_entries(m, level)
     out = np.empty(batch + (eval_idx.size, width))
     keep = np.full(n_pts, -1, dtype=int)
@@ -110,6 +117,94 @@ def stream_table(values: np.ndarray, level: int, eval_idx=None) -> np.ndarray:
         if keep[k + 1] >= 0:
             out[..., keep[k + 1], :] = flatten_blocks(cur)
     return out
+
+
+# Paths per block in word_streams: the per-word temporaries are
+# (block, K) arrays, so the block size bounds them independently of the batch.
+_WORD_BLOCK = 32
+
+
+def word_streams(values: np.ndarray, words, eval_idx=None) -> np.ndarray:
+    """Stream coordinates of selected words, without the dense table.
+
+    values : (..., K, m) absolute breakpoint values, arbitrary batch prefix.
+    words : words over the alphabet 0..m-1, in any order and of any length.
+    eval_idx : increasing breakpoint indices (default: all K breakpoints).
+
+    Returns (..., len(eval_idx), len(words)), bit-identical to the matching
+    columns of stream_table(values, max word length, eval_idx).  Only the
+    prefixes of the requested words are streamed, each by one prefix sum
+    over the segments: S^w_{k+1} = S^w_k + T_k with
+    T_k = ((E^w + S^{w[:1]} E^{w[1:]}) + S^{w[:2]} E^{w[2:]}) + ...
+    and E^u = ((x_{u1}/1) x_{u2}/2) ... the segment-exponential coordinates,
+    summed in the order of mul_blocks and segment_exp_blocks.
+    """
+    values = np.asarray(values, dtype=float)
+    n_pts, m = values.shape[-2], values.shape[-1]
+    batch = values.shape[:-2]
+    eval_idx = _check_eval_idx(eval_idx, n_pts)
+    words = [tuple(int(l) for l in w) for w in words]
+    for w in words:
+        check_word(w, m)
+    flat = values.reshape((-1, n_pts, m))
+    out = np.empty((flat.shape[0], eval_idx.size, len(words)))
+    for start in range(0, flat.shape[0], _WORD_BLOCK):
+        block = flat[start : start + _WORD_BLOCK]
+        _block_word_streams(
+            block, words, eval_idx, out[start : start + block.shape[0]]
+        )
+    return out.reshape(batch + out.shape[1:])
+
+
+def _block_word_streams(values, words, eval_idx, out):
+    """word_streams of one (b, K, m) block of paths, written into `out`."""
+    n_pts = values.shape[1]
+    dx = np.moveaxis(np.diff(values, axis=1), -1, 0).copy()  # (m, b, K-1)
+    prefixes = sorted({w[:n] for w in words for n in range(1, len(w) + 1)})
+    infixes = sorted({v[k:] for v in prefixes for k in range(len(v))})
+    # remaining reads of each intermediate; it is dropped after the last one
+    reads = Counter((u[:-1], "E") for u in infixes if len(u) > 1)
+    for v in prefixes:
+        reads.update((v[k:], "E") for k in range(len(v)))
+        reads.update((v[:k], "S") for k in range(1, len(v)))
+    cache = {}
+
+    def take(word, kind):
+        arr = cache[word, kind]
+        reads[word, kind] -= 1
+        if not reads[word, kind]:
+            del cache[word, kind]
+        return arr
+
+    columns = {}
+    for i, w in enumerate(words):
+        columns.setdefault(w, []).append(i)
+    out[..., columns.pop((), [])] = 1.0
+    for n in range(1, max(map(len, prefixes), default=0) + 1):
+        scaled = {}
+        for u in (u for u in infixes if len(u) == n):
+            if n == 1:
+                cache[u, "E"] = dx[u[0]]
+            else:
+                if u[-1] not in scaled:
+                    scaled[u[-1]] = dx[u[-1]] / n
+                cache[u, "E"] = take(u[:-1], "E") * scaled[u[-1]]
+        del scaled
+        for v in (v for v in prefixes if len(v) == n):
+            step = take(v, "E")
+            for k in range(1, n):
+                step = step + take(v[:k], "S")[:, :-1] * take(v[k:], "E")
+            stream = np.empty((values.shape[0], n_pts))
+            stream[:, 0] = 0.0
+            stream[:, 1:] = step
+            del step
+            # add.accumulate is sequential: stream[k+1] = stream[k] + step[k]
+            np.cumsum(stream, axis=1, out=stream)
+            for i in columns.get(v, ()):
+                out[..., i] = stream[:, eval_idx]
+            if reads.get((v, "S")):
+                cache[v, "S"] = stream
+            del stream
 
 
 @dataclass(frozen=True)
@@ -181,6 +276,24 @@ class LinearFunctional:
             n, off = word_to_offset(word, self.dim)
             vec[starts[n] + off] = value
         return vec
+
+    def apply_stream(self, values: np.ndarray, eval_idx=None) -> np.ndarray:
+        """The functional along the signature stream of the piecewise
+        linear path(s) through `values` (..., K, dim), at the breakpoints
+        eval_idx (default: all); returns a C-contiguous (..., len(eval_idx)).
+
+        Only the functional's words are streamed (word_streams), in blocks
+        of paths; the terms are summed in level-major word order.
+        """
+        values = np.asarray(values, dtype=float)
+        if values.shape[-1] != self.dim:
+            raise ValueError(f"dim mismatch: {values.shape[-1]} vs {self.dim}")
+        words = sorted(self.coeffs, key=lambda w: (len(w), w))
+        streams = word_streams(values, words, eval_idx)
+        out = np.zeros(streams.shape[:-1])
+        for i, word in enumerate(words):
+            out += self.coeffs[word] * streams[..., i]
+        return out
 
     def to_dict(self) -> dict:
         return {

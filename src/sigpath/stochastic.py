@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .paths import PiecewiseLinearPath, dyadic_times
-from .signature import LinearFunctional, stream_table
+from .paths import PiecewiseLinearPath, dyadic_times, nearest_breakpoints
+from .signature import LinearFunctional
 
 __all__ = [
     "BrownianLattice",
@@ -311,13 +311,6 @@ def sde_exact_gbm(lattice: BrownianLattice, a: float, b: float, y0: float, eval_
     return y0 * np.exp(a * eval_times + b * w)
 
 
-def _nearest_indices(times: np.ndarray, query: np.ndarray) -> np.ndarray:
-    pos = np.searchsorted(times, query)
-    pos = np.clip(pos, 1, times.size - 1)
-    left_closer = np.abs(query - times[pos - 1]) <= np.abs(times[pos] - query)
-    return np.where(left_closer, pos - 1, pos)
-
-
 def stratonovich_reference(
     lattice: BrownianLattice, functional: LinearFunctional, eval_times
 ) -> np.ndarray:
@@ -334,11 +327,7 @@ def stratonovich_reference(
         raise ValueError("functional must act on the time-extended alphabet")
     times = lattice.times
     hat = np.concatenate([times[:, None], lattice.values], axis=1)
-    idx = _nearest_indices(times, eval_times)
-    order = np.argsort(idx, kind="stable")
-    unique_idx, inverse = np.unique(idx[order], return_inverse=True)
-    table = stream_table(hat, functional.level, eval_idx=unique_idx)
-    values = table @ functional.coefficient_vector()
-    out = np.empty(eval_times.shape)
-    out[order] = values[inverse]
-    return out
+    idx = nearest_breakpoints(times, eval_times).ravel()
+    unique_idx, inverse = np.unique(idx, return_inverse=True)
+    values = functional.apply_stream(hat, eval_idx=unique_idx)
+    return values[inverse].reshape(eval_times.shape)

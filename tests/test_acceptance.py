@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import sigpath.tensor as tn
 import sigpath.words as wd
@@ -188,6 +189,7 @@ def test_criterion_5_expressiveness_monotonicity():
     report(5, "expressiveness monotonicity", started, 600.0)
 
 
+@pytest.mark.slow
 def test_criterion_6_interpolated_signature_convergence():
     started = time.perf_counter()
     cfg = ExperimentConfig.from_dict(
@@ -207,6 +209,7 @@ def test_criterion_6_interpolated_signature_convergence():
     report(6, "interpolated-signature convergence", started, 600.0)
 
 
+@pytest.mark.slow
 def test_criterion_7_exponential_moment_stability():
     started = time.perf_counter()
     cfg = ExperimentConfig.from_dict(

@@ -119,6 +119,28 @@ def test_config_errors_exit_2(tmp_path):
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
 
 
+@pytest.mark.parametrize(
+    "payload, extra",
+    [
+        (small_functional_config(n_samples=2000.0), []),
+        (small_functional_config(p="2"), []),
+        (small_functional_config(lam="x"), []),
+        ([small_functional_config()], []),
+        ([small_functional_config()], ["--seed", "3"]),
+        (small_functional_config(seed=True), []),
+        (small_functional_config(depths=[2.7]), []),
+        (small_functional_config(T=float("nan")), []),
+    ],
+    ids=["float-n_samples", "string-p", "string-lam", "json-list",
+         "json-list-seed-override", "bool-seed", "fractional-depth", "nan-T"],
+)
+def test_mistyped_config_exits_2(tmp_path, payload, extra):
+    cfg = write_config(tmp_path, "bad.json", payload)
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)] + extra) == 2
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sigpath.tensor as tn
 import sigpath.words as wd
@@ -13,7 +15,10 @@ from sigpath.signature import (
     segment_signature,
     signature,
     signature_stream,
+    stream_table,
+    word_streams,
 )
+from sigpath.experiments import LEVY_TARGETS, _levy_functional
 from helpers_oracle import iterated_integral_riemann, random_pl_path
 
 
@@ -199,3 +204,44 @@ def test_levy_area_of_axis_path():
     path = time_extend(PiecewiseLinearPath([0, 1, 2], [[0, 0], [1, 0], [1, 1]]))
     area = levy_area_functional().apply(signature(path, 2))
     assert area == pytest.approx(0.5, abs=1e-14)
+
+
+@st.composite
+def word_stream_cases(draw):
+    dim = draw(st.integers(1, 3))
+    level = draw(st.integers(1, 4))
+    batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    n_pts = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=batch + (n_pts, dim)).cumsum(axis=-2)
+    eval_idx = sorted(draw(st.sets(st.integers(0, n_pts - 1))))
+    words = wd.all_words(dim, level)
+    picks = draw(st.lists(st.integers(0, len(words) - 1), max_size=6))
+    return values, level, eval_idx, [words[i] for i in picks]
+
+
+@settings(deadline=None, max_examples=150)
+@given(word_stream_cases())
+def test_word_streams_equal_dense_columns(case):
+    # arbitrary (not prefix-closed, possibly repeated) word sets
+    values, level, eval_idx, words = case
+    dense = stream_table(values, level, eval_idx=eval_idx)
+    columns = [wd.all_words(values.shape[-1], level).index(w) for w in words]
+    sparse = word_streams(values, words, eval_idx=eval_idx)
+    assert sparse.shape == dense[..., columns].shape
+    assert np.array_equal(sparse, dense[..., columns])
+
+
+@pytest.mark.parametrize("target", LEVY_TARGETS)
+def test_apply_stream_matches_dense_levy_targets(target):
+    # more paths than one word_streams block, on a strided eval grid
+    functional = _levy_functional(target)
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=(70, 129, 3)).cumsum(axis=1)
+    eval_idx = np.arange(0, 129, 4)
+    got = functional.apply_stream(values, eval_idx=eval_idx)
+    dense = stream_table(values, functional.level, eval_idx=eval_idx)
+    assert np.array_equal(got, dense @ functional.coefficient_vector())
+    assert got.flags.c_contiguous
+    with pytest.raises(ValueError):
+        functional.apply_stream(values[..., :2])
