@@ -66,7 +66,6 @@ MOMENTS_COLUMNS = [
     "estimate", "std_error", "half_full_ratio", "stable", "config_hash",
 ]
 
-_SAMPLE_CHUNK = 1000
 _LEVY_CHUNK = 500
 _MOMENT_CHUNK = 2500
 
@@ -248,13 +247,11 @@ class ExperimentConfig:
 # -- shared helpers -------------------------------------------------------------
 
 
-def _sample_values(seed, n_samples, d, T, depth) -> np.ndarray:
-    """(B, 2**depth + 1, d) Brownian values; chunked but order-fixed."""
-    parts = []
-    for start in range(0, n_samples, _SAMPLE_CHUNK):
-        idx = np.arange(start, min(start + _SAMPLE_CHUNK, n_samples))
-        parts.append(sample_brownian_batch(seed, idx, d, T, depth))
-    return np.concatenate(parts, axis=0)
+def _sample_values(cfg, depth) -> np.ndarray:
+    """(n_samples, 2**depth + 1, d) Brownian values on the depth grid itself."""
+    return sample_brownian_batch(
+        cfg.seed, np.arange(cfg.n_samples), cfg.d, cfg.T, depth
+    )
 
 
 def _hat(times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -319,7 +316,7 @@ def run_functional(cfg: ExperimentConfig):
     for depth in cfg.depths:
         t0 = time.perf_counter()
         times = dyadic_times(cfg.T, depth)
-        values = _sample_values(cfg.seed, cfg.n_samples, cfg.d, cfg.T, depth)
+        values = _sample_values(cfg, depth)
         y = _functional_target(cfg.target, times, values, cfg.T)
         _require_finite("targets", y)
         feats = features_from_values(times, _hat(times, values), level_max, "terminal")
@@ -343,7 +340,7 @@ def run_ode(cfg: ExperimentConfig):
     for depth in cfg.depths:
         t0 = time.perf_counter()
         times = dyadic_times(cfg.T, depth)
-        values = _sample_values(cfg.seed, cfg.n_samples, cfg.d, cfg.T, depth)
+        values = _sample_values(cfg, depth)
         y_table, blown = solve_ode_batch(times, values, vf, cfg.y0, cfg.substeps)
         n_excluded = int(blown.sum())
         if n_excluded:
@@ -372,14 +369,10 @@ def run_sde(cfg: ExperimentConfig):
     level_max = max(cfg.levels)
     for depth in cfg.depths:
         t0 = time.perf_counter()
-        stride = 2 ** (cfg.n_max - depth)
         times = dyadic_times(cfg.T, depth)
-        w_parts = []
-        for start in range(0, cfg.n_samples, _LEVY_CHUNK):
-            idx = np.arange(start, min(start + _LEVY_CHUNK, cfg.n_samples))
-            fine = sample_brownian_batch(cfg.seed, idx, 1, cfg.T, cfg.n_max)
-            w_parts.append(fine[:, ::stride, :])
-        w = np.concatenate(w_parts, axis=0)
+        # the exact target is read on the depth grid only; n_max just bounds
+        # the depths
+        w = _sample_values(cfg, depth)
         y = cfg.y0 * np.exp(cfg.a * times + cfg.b * w[..., 0])
         _require_finite("sde targets", y)
         feats = features_from_values(times, _hat(times, w), level_max, "stopped")

@@ -41,34 +41,50 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _ABSORB = np.uint64(0xC2B2AE3D27D4EB4F)
 
+# Variates per block: sample_brownian_batch fills each refinement level in
+# blocks of paths (at least one) holding at most this many, which bounds its
+# temporaries to a few block-sized arrays whatever the batch size.
+_SAMPLE_BLOCK = 2**16
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    # SplitMix64 output function (Steele, Lea, Flood 2014); uint64 arithmetic
-    # wraps by design.
-    z = np.asarray(z, dtype=np.uint64)
+
+def _mix(z):
+    """SplitMix64 output function (Steele, Lea, Flood 2014); mixes a uint64
+    array the caller owns in place and returns it (a numpy scalar, being
+    immutable, comes back as a new value).  uint64 arithmetic wraps by
+    design."""
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+        z ^= z >> np.uint64(30)
+        z *= _MIX1
+        z ^= z >> np.uint64(27)
+        z *= _MIX2
+        z ^= z >> np.uint64(31)
+    return z
+
+
+def _sample_keys(seed, sample):
+    """Base key of each sample index: the seed and the index, mixed twice."""
+    with np.errstate(over="ignore"):
+        base = _mix(np.uint64(seed) + _GAMMA)
+        return _mix(base ^ (np.asarray(sample, dtype=np.uint64) * _ABSORB))
+
+
+def _event_words(level, position, coordinate):
+    """(level, position, coordinate) packed injectively into one word (level
+    and coordinate below 2**8, position below 2**48), times _ABSORB."""
+    packed = (
+        (np.asarray(level, dtype=np.uint64) << np.uint64(56))
+        | (np.asarray(position, dtype=np.uint64) << np.uint64(8))
+        | np.asarray(coordinate, dtype=np.uint64)
+    )
+    with np.errstate(over="ignore"):
+        return packed * _ABSORB
 
 
 def _derive_keys(seed, sample, level, position, coordinate) -> np.ndarray:
     """One 64-bit key per (seed, sample, level, position, coordinate);
-    the integer arguments broadcast.
-
-    (level, position, coordinate) pack injectively into one word (level and
-    coordinate below 2**8, position below 2**48), so two mixing rounds
-    separate every event of a sample's lattice.
-    """
-    with np.errstate(over="ignore"):
-        base = _mix(np.uint64(seed) + _GAMMA)
-        base = _mix(base ^ (np.asarray(sample, dtype=np.uint64) * _ABSORB))
-        packed = (
-            (np.asarray(level, dtype=np.uint64) << np.uint64(56))
-            | (np.asarray(position, dtype=np.uint64) << np.uint64(8))
-            | np.asarray(coordinate, dtype=np.uint64)
-        )
-        return _mix(base ^ (packed * _ABSORB))
+    the integer arguments broadcast.  A final mixing round separates every
+    event of a sample's lattice."""
+    return _mix(_sample_keys(seed, sample) ^ _event_words(level, position, coordinate))
 
 
 def _uniform(keys: np.ndarray, draw: int) -> np.ndarray:
@@ -76,6 +92,18 @@ def _uniform(keys: np.ndarray, draw: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         bits = _mix(keys + np.uint64(draw + 1) * _GAMMA)
     return (bits >> np.uint64(11)) * 2.0**-53
+
+
+def _polar(keys: np.ndarray, draw: int):
+    """One Marsaglia polar round on the (draw, draw + 1) uniform pair of each
+    key: the variates, and whether each pair was accepted (the variate of a
+    rejected pair is meaningless)."""
+    u = 2.0 * _uniform(keys, draw) - 1.0
+    v = 2.0 * _uniform(keys, draw + 1) - 1.0
+    s = u * u + v * v
+    ok = (s > 0.0) & (s < 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return u * np.sqrt(-2.0 * np.log(s) / s), ok
 
 
 def standard_normal(keys) -> np.ndarray:
@@ -86,23 +114,12 @@ def standard_normal(keys) -> np.ndarray:
     """
     keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
     flat_keys = keys.reshape(-1)
-    u = 2.0 * _uniform(flat_keys, 0) - 1.0
-    v = 2.0 * _uniform(flat_keys, 1) - 1.0
-    s = u * u + v * v
-    ok = (s > 0.0) & (s < 1.0)
-    s_safe = np.where(ok, s, 0.5)
-    out = u * np.sqrt(-2.0 * np.log(s_safe) / s_safe)
+    out, ok = _polar(flat_keys, 0)
     pending = np.flatnonzero(~ok)
     for draw in range(1, 128):
         if pending.size == 0:
             break
-        k = flat_keys[pending]
-        u = 2.0 * _uniform(k, 2 * draw) - 1.0
-        v = 2.0 * _uniform(k, 2 * draw + 1) - 1.0
-        s = u * u + v * v
-        ok = (s > 0.0) & (s < 1.0)
-        s_safe = np.where(ok, s, 0.5)
-        value = u * np.sqrt(-2.0 * np.log(s_safe) / s_safe)
+        value, ok = _polar(flat_keys[pending], 2 * draw)
         out[pending[ok]] = value[ok]
         pending = pending[~ok]
     if pending.size:
@@ -137,7 +154,9 @@ def sample_brownian_batch(seed, sample_indices, d, T, n_max) -> np.ndarray:
 
     Depth 0 draws the endpoint as N(0, T I); each refinement level fills the
     midpoints with the bridge law mid = (left+right)/2 + sqrt(h/4) Z, h the
-    parent spacing.
+    parent spacing.  Each level is filled in blocks of paths holding at most
+    _SAMPLE_BLOCK variates; every variate is a pure function of its key, so
+    the blocking never changes the values.
     """
     if n_max > MAX_DEPTH:
         raise ValueError(f"n_max {n_max} exceeds {MAX_DEPTH}")
@@ -149,26 +168,28 @@ def sample_brownian_batch(seed, sample_indices, d, T, n_max) -> np.ndarray:
     n_pts = 2**n_max + 1
     coords = np.arange(d)
     w = np.zeros((samples.size, n_pts, d))
-    z_end = standard_normal(
-        _derive_keys(seed, samples[:, None], 0, 0, coords[None, :])
-    )
-    w[:, -1, :] = np.sqrt(T) * z_end
+    base = _sample_keys(seed, samples[:, None, None])
+    z_end = standard_normal(_mix(base[:, 0] ^ _event_words(0, 0, coords)))
+    z_end *= np.sqrt(T)
+    w[:, -1, :] = z_end
     for level in range(1, n_max + 1):
         n_pos = 2 ** (level - 1)
         stride = 2 ** (n_max - level + 1)
-        half = stride // 2
-        keys = _derive_keys(
-            seed,
-            samples[:, None, None],
-            level,
-            np.arange(n_pos)[None, :, None],
-            coords[None, None, :],
-        )
-        z = standard_normal(keys)
-        parent_h = T / n_pos
-        left = w[:, : n_pts - 1 : stride, :]
-        right = w[:, stride::stride, :]
-        w[:, half::stride, :] = 0.5 * (left + right) + np.sqrt(parent_h / 4.0) * z
+        words = _event_words(level, np.arange(n_pos)[:, None], coords)
+        scale = np.sqrt(T / n_pos / 4.0)
+        rows = max(1, _SAMPLE_BLOCK // words.size)
+        for start in range(0, samples.size, rows):
+            wb = w[start : start + rows]
+            z = standard_normal(_mix(base[start : start + rows] ^ words))
+            z *= scale
+            # one coordinate at a time, so numpy's inner loop runs along the
+            # positions rather than over the d coordinates of one point
+            for c in range(d):
+                left = wb[:, : n_pts - 1 : stride, c]
+                mid = wb[:, stride // 2 :: stride, c]
+                np.add(left, wb[:, stride::stride, c], out=mid)
+                mid *= 0.5
+                mid += z[..., c]
     return w
 
 

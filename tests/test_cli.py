@@ -4,8 +4,15 @@ import math
 import numpy as np
 import pytest
 
+import sigpath.experiments as experiments
 from sigpath.cli import main
-from sigpath.experiments import ExperimentConfig, run_config, run_levy, run_moments
+from sigpath.experiments import (
+    ExperimentConfig,
+    run_config,
+    run_levy,
+    run_moments,
+    run_sde,
+)
 
 
 def write_config(tmp_path, name, payload):
@@ -238,3 +245,29 @@ def test_ode_blowups_excluded_and_counted():
         _, rows, _ = run_ode(cfg)
     assert rows[0]["n_excluded"] >= 0  # runs to completion either way
     assert math.isfinite(rows[0]["test_error"])
+
+
+def test_sde_samples_each_depth_and_ignores_n_max(monkeypatch):
+    sampled = []
+    sampler = experiments.sample_brownian_batch
+
+    def recording(seed, sample_indices, d, T, n_max):
+        sampled.append(n_max)
+        return sampler(seed, sample_indices, d, T, n_max)
+
+    monkeypatch.setattr(experiments, "sample_brownian_batch", recording)
+    payload = {
+        "kind": "sde", "seed": 4, "depths": [4, 6, 8], "levels": [1, 2],
+        "n_samples": 200, "lam": 0.0,
+    }
+    results = {}
+    for n_max in (12, 14):
+        sampled.clear()
+        cfg = ExperimentConfig.from_dict({**payload, "n_max": n_max})
+        _, rows, reports = run_sde(cfg)
+        assert sampled == [4, 6, 8]
+        results[n_max] = (
+            [{k: v for k, v in row.items() if k != "config_hash"} for row in rows],
+            reports,
+        )
+    assert results[12] == results[14]

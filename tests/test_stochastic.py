@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,33 @@ def test_sampling_is_reproducible_and_index_addressed():
     a = sto.sample_brownian_batch(3, [5], 1, 2.0, 4)
     b = sto.sample_brownian_batch(3, [4, 5, 6], 1, 2.0, 4)
     assert np.array_equal(a[0], b[1])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_blocked_batch_matches_single_paths_and_deeper_lattice(d):
+    n_max = 14
+    rows = sto._SAMPLE_BLOCK // (2 ** (n_max - 1) * d)  # paths per finest-level block
+    assert rows >= 2
+    for batch in (rows - 1, rows, rows + 1):
+        idx = np.arange(batch) + 3
+        w = sto.sample_brownian_batch(9, idx, d, 1.5, n_max)
+        singles = [sto.sample_brownian(9, i, d, 1.5, n_max).values for i in idx]
+        assert np.array_equal(w, np.stack(singles))
+        deep = sto.sample_brownian_batch(9, idx, d, 1.5, n_max + 1)
+        assert np.array_equal(deep[:, ::2, :], w)
+
+
+def test_sampler_peak_memory_is_output_plus_block_slack():
+    sto.sample_brownian_batch(1, np.arange(2), 2, 1.0, 4)  # warm up outside the trace
+    tracemalloc.start()
+    try:
+        w = sto.sample_brownian_batch(1, np.arange(64), 2, 1.0, 14)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # ten block-sized 8-byte temporaries; an unblocked sampler holds several
+    # lattice-sized ones (about five times the 16 MiB output here)
+    assert peak <= w.nbytes + 10 * 8 * sto._SAMPLE_BLOCK
 
 
 def test_endpoint_statistics():
