@@ -21,6 +21,8 @@ def _cmd_sig(args) -> int:
     level = args.level
     if level is None:
         level = 4 if path.dim == 1 else 3
+    elif level < 0:
+        raise ConfigError(f"--level must be >= 0, got {level}")
     sig = signature(time_extend(path), level)
     payload = {
         "dim": sig.dim,
@@ -72,7 +74,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, PathFormatError, FileNotFoundError, json.JSONDecodeError) as err:
+    except (
+        ConfigError, PathFormatError, OSError, UnicodeDecodeError, json.JSONDecodeError
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (NumericalError, FloatingPointError) as err:

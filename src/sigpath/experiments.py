@@ -18,22 +18,26 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .paths import dyadic_times, max_increment_ratio, refine_times
+from .paths import dyadic_times, max_increment_ratio, refine_times, time_extend_values
 from .regress import features_from_values, fit, trapezoid_weights
 from .signature import LinearFunctional, levy_area_functional
 # Not called here any more; still bound so that tools wrapping the stream
 # layer by name (benchmarks/op.py) find it.
 from .signature import stream_table  # noqa: F401
-from .stochastic import make_vector_field, sample_brownian_batch, solve_ode_batch
+from .stochastic import (
+    make_vector_field,
+    sample_brownian_batch,
+    sde_exact_gbm,
+    solve_ode_batch,
+    stratonovich_reference,
+)
 
 __all__ = [
     "ConfigError",
     "NumericalError",
     "ExperimentConfig",
     "run_config",
-    "run_functional",
-    "run_ode",
-    "run_sde",
+    "run_regression",
     "run_levy",
     "run_moments",
 ]
@@ -220,22 +224,17 @@ class ExperimentConfig:
                 raise ConfigError("ode experiment drives a scalar field (d = 1)")
             if c.substeps < 1:
                 raise ConfigError("substeps must be >= 1")
-        if c.kind == "sde":
-            if c.d != 1:
-                raise ConfigError("sde experiment is scalar (d = 1)")
-            if max(c.depths) > c.n_max - 4:
-                raise ConfigError(
-                    "sde depths must stay >= 4 levels below the reference n_max"
-                )
+        if c.kind == "sde" and c.d != 1:
+            raise ConfigError("sde experiment is scalar (d = 1)")
         if c.kind == "levy":
             if c.d != 2:
                 raise ConfigError("levy experiment needs d = 2")
             if c.target not in LEVY_TARGETS:
                 raise ConfigError(f"unknown levy target {c.target!r}")
-            if max(c.depths) > c.n_max - 4:
-                raise ConfigError(
-                    "levy depths must stay >= 4 levels below the reference n_max"
-                )
+        if c.kind in ("sde", "levy") and max(c.depths) > c.n_max - 4:
+            raise ConfigError(
+                f"{c.kind} depths must stay >= 4 levels below the reference n_max"
+            )
 
     def config_hash(self) -> str:
         payload = asdict(self)
@@ -252,16 +251,6 @@ def _sample_values(cfg, depth) -> np.ndarray:
     return sample_brownian_batch(
         cfg.seed, np.arange(cfg.n_samples), cfg.d, cfg.T, depth
     )
-
-
-def _hat(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    t = np.broadcast_to(times, values.shape[:-1])
-    return np.concatenate([t[..., None], values], axis=-1)
-
-
-def _require_finite(name, arr):
-    if not np.isfinite(arr).all():
-        raise NumericalError(f"non-finite value in {name}")
 
 
 def _regression_row(cfg, target, depth, level, n_excluded, report):
@@ -293,7 +282,7 @@ def _log(msg):
     print(msg, file=sys.stderr)
 
 
-def _functional_target(name, times, values, T):
+def _functional_target(name, times, values):
     w1 = values[..., 0]
     if name == "terminal-square":
         return w1[:, -1] ** 2
@@ -310,83 +299,51 @@ def _functional_target(name, times, values, T):
 # -- experiment runners ----------------------------------------------------------
 
 
-def run_functional(cfg: ExperimentConfig):
-    rows, reports = [], {}
-    level_max = max(cfg.levels)
-    for depth in cfg.depths:
-        t0 = time.perf_counter()
-        times = dyadic_times(cfg.T, depth)
-        values = _sample_values(cfg, depth)
-        y = _functional_target(cfg.target, times, values, cfg.T)
-        _require_finite("targets", y)
-        feats = features_from_values(times, _hat(times, values), level_max, "terminal")
-        for level in cfg.levels:
-            report = fit(
-                feats.truncated(level), y, lam=cfg.lam, p=cfg.p, split_seed=cfg.seed
-            )
-            rows.append(_regression_row(cfg, cfg.target, depth, level, 0, report))
-            reports[f"{cfg.target}/depth={depth}/level={level}"] = report.to_dict()
-        _log(
-            f"[functional:{cfg.target}] depth={depth} "
-            f"({time.perf_counter() - t0:.1f}s)"
-        )
-    return REGRESSION_COLUMNS, rows, reports
-
-
-def run_ode(cfg: ExperimentConfig):
-    rows, reports = [], {}
-    level_max = max(cfg.levels)
-    vf = make_vector_field(cfg.field, d=cfg.d, a=cfg.a, b=cfg.b)
-    for depth in cfg.depths:
-        t0 = time.perf_counter()
-        times = dyadic_times(cfg.T, depth)
-        values = _sample_values(cfg, depth)
+def _regression_target(cfg, times, values):
+    """(label, feature mode, kept paths, targets, excluded count) of one
+    depth's Brownian values for a functional, ode or sde config."""
+    if cfg.kind == "functional":
+        y = _functional_target(cfg.target, times, values)
+        return cfg.target, "terminal", values, y, 0
+    if cfg.kind == "ode":
+        vf = make_vector_field(cfg.field, d=cfg.d, a=cfg.a, b=cfg.b)
         y_table, blown = solve_ode_batch(times, values, vf, cfg.y0, cfg.substeps)
         n_excluded = int(blown.sum())
         if n_excluded:
             values = values[~blown]
             y_table = y_table[~blown]
-        y = y_table[..., 0].reshape(-1)
-        _require_finite("ode targets", y)
-        feats = features_from_values(times, _hat(times, values), level_max, "stopped")
+        return cfg.field, "stopped", values, y_table[..., 0], n_excluded
+    y = sde_exact_gbm(times, values, cfg.a, cfg.b, cfg.y0)
+    return "gbm", "stopped", values, y, 0
+
+
+def run_regression(cfg: ExperimentConfig):
+    """Per depth: sample, compute targets, build features at the top level
+    and fit every level on a column prefix of them."""
+    rows, reports = [], {}
+    for depth in cfg.depths:
+        t0 = time.perf_counter()
+        times = dyadic_times(cfg.T, depth)
+        label, mode, values, y, n_excluded = _regression_target(
+            cfg, times, _sample_values(cfg, depth)
+        )
+        if not np.isfinite(y).all():
+            raise NumericalError(f"non-finite value in {cfg.kind} targets")
+        feats = features_from_values(
+            times, time_extend_values(times, values), max(cfg.levels), mode
+        )
         for level in cfg.levels:
             report = fit(
                 feats.truncated(level), y, lam=cfg.lam, p=cfg.p, split_seed=cfg.seed
             )
             rows.append(
-                _regression_row(cfg, cfg.field, depth, level, n_excluded, report)
+                _regression_row(cfg, label, depth, level, n_excluded, report)
             )
-            reports[f"{cfg.field}/depth={depth}/level={level}"] = report.to_dict()
+            reports[f"{label}/depth={depth}/level={level}"] = report.to_dict()
         _log(
-            f"[ode:{cfg.field}] depth={depth} excluded={n_excluded} "
+            f"[{cfg.kind}:{label}] depth={depth} excluded={n_excluded} "
             f"({time.perf_counter() - t0:.1f}s)"
         )
-    return REGRESSION_COLUMNS, rows, reports
-
-
-def run_sde(cfg: ExperimentConfig):
-    rows, reports = [], {}
-    level_max = max(cfg.levels)
-    for depth in cfg.depths:
-        t0 = time.perf_counter()
-        times = dyadic_times(cfg.T, depth)
-        # the exact target is read on the depth grid only; n_max just bounds
-        # the depths
-        w = _sample_values(cfg, depth)
-        y = cfg.y0 * np.exp(cfg.a * times + cfg.b * w[..., 0])
-        _require_finite("sde targets", y)
-        feats = features_from_values(times, _hat(times, w), level_max, "stopped")
-        for level in cfg.levels:
-            report = fit(
-                feats.truncated(level),
-                y.reshape(-1),
-                lam=cfg.lam,
-                p=cfg.p,
-                split_seed=cfg.seed,
-            )
-            rows.append(_regression_row(cfg, "gbm", depth, level, 0, report))
-            reports[f"gbm/depth={depth}/level={level}"] = report.to_dict()
-        _log(f"[sde:gbm] depth={depth} ({time.perf_counter() - t0:.1f}s)")
     return REGRESSION_COLUMNS, rows, reports
 
 
@@ -422,18 +379,17 @@ def run_levy(cfg: ExperimentConfig):
     eval_depth = depths[-1] + 1
     eval_times = dyadic_times(cfg.T, eval_depth)
     fine_times = dyadic_times(cfg.T, cfg.n_max)
-    ref_idx = np.arange(2**eval_depth + 1) * 2 ** (cfg.n_max - eval_depth)
     weights = trapezoid_weights(eval_times)
     acc = {dep: 0.0 for dep in depths}
     t0 = time.perf_counter()
     for start in range(0, cfg.n_samples, _LEVY_CHUNK):
         idx = np.arange(start, min(start + _LEVY_CHUNK, cfg.n_samples))
         fine = sample_brownian_batch(cfg.seed, idx, 2, cfg.T, cfg.n_max)
-        ref_vals = functional.apply_stream(_hat(fine_times, fine), eval_idx=ref_idx)
+        ref_vals = stratonovich_reference(fine_times, fine, functional, eval_times)
         for dep in depths:
             stride = 2 ** (cfg.n_max - dep)
             coarse = _upsample_dyadic(fine[:, ::stride, :], eval_depth - dep)
-            vals = functional.apply_stream(_hat(eval_times, coarse))
+            vals = functional.apply_stream(time_extend_values(eval_times, coarse))
             delta = vals - ref_vals
             acc[dep] += float(np.sum(weights * np.abs(delta) ** cfg.p))
     distances = {
@@ -487,7 +443,7 @@ def run_moments(cfg: ExperimentConfig):
         for start in range(0, cfg.n_samples, _MOMENT_CHUNK):
             idx = np.arange(start, min(start + _MOMENT_CHUNK, cfg.n_samples))
             values = sample_brownian_batch(cfg.seed, idx, cfg.d, cfg.T, depth)
-            hat = _hat(times, values)
+            hat = time_extend_values(times, values)
             hat_grid = hat[:, pos, :] * (1.0 - frac)[None, :, None] + hat[
                 :, pos + 1, :
             ] * frac[None, :, None]
@@ -574,9 +530,9 @@ def _reports_path(csv_path: str) -> str:
 
 
 _RUNNERS = {
-    "functional": run_functional,
-    "ode": run_ode,
-    "sde": run_sde,
+    "functional": run_regression,
+    "ode": run_regression,
+    "sde": run_regression,
     "levy": run_levy,
     "moments": run_moments,
 }

@@ -20,6 +20,7 @@ __all__ = [
     "dyadic_times",
     "nearest_breakpoints",
     "time_extend",
+    "time_extend_values",
     "insert_breakpoint",
     "holder_norm",
     "weight",
@@ -128,10 +129,16 @@ class StoppedPath:
     stop_time: float
 
 
+def time_extend_values(times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Prepend the running time as coordinate 0 of breakpoint values
+    (..., K, d) on the shared partition `times` (K,); returns (..., K, d + 1)."""
+    t = np.broadcast_to(times, values.shape[:-1])
+    return np.concatenate([t[..., None], values], axis=-1)
+
+
 def time_extend(path: PiecewiseLinearPath) -> PiecewiseLinearPath:
     """Prepend the running time as coordinate 0; same partition."""
-    hat = np.concatenate([path.times[:, None], path.values], axis=1)
-    return PiecewiseLinearPath(path.times, hat)
+    return PiecewiseLinearPath(path.times, time_extend_values(path.times, path.values))
 
 
 def _is_time_extended(path: PiecewiseLinearPath) -> bool:

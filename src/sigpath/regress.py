@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .paths import nearest_breakpoints
-from .signature import LinearFunctional, SignatureStream, signature_stream, stream_table
+from .signature import LinearFunctional, stream_table
 from .tensor import total_entries
 from .words import all_words
 
@@ -128,51 +128,26 @@ def features_from_values(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def build_features(items, level: int, mode: str = "terminal", eval_times=None) -> FeatureMatrix:
-    """Features from a list of paths or signature streams on one partition.
+def build_features(paths, level: int, mode: str = "terminal", eval_times=None) -> FeatureMatrix:
+    """features_from_values on a list of paths sharing one partition.
 
     In stopped mode rows are taken at the breakpoints nearest eval_times
     (exact when the eval times are partition points).
     """
-    if not items:
-        raise ValueError("need at least one path or stream")
-    streams = [
-        it if isinstance(it, SignatureStream) else signature_stream(it, level)
-        for it in items
-    ]
-    times = streams[0].times
-    for s in streams:
-        if s.level < level or s.dim != streams[0].dim:
-            raise ValueError("inconsistent stream dim/level")
-        if not np.array_equal(s.times, times):
-            raise ValueError("streams must share one partition")
-    values = np.stack([np.stack([t.flat() for t in s.tensors]) for s in streams])
-    width = total_entries(streams[0].dim, level)
-    values = values[:, :, :width]
-    if mode == "terminal":
-        return FeatureMatrix(
-            values[:, -1, :], streams[0].dim, level, np.arange(len(streams))
-        )
-    if mode == "stopped":
-        if eval_times is None:
-            idx = np.arange(times.size)
-        else:
-            eval_times = np.asarray(eval_times, dtype=float)
-            if (eval_times < times[0]).any() or (eval_times > times[-1]).any():
-                raise ValueError("eval time outside the path horizon")
-            idx = np.unique(nearest_breakpoints(times, eval_times))
-        eval_t = times[idx]
-        weights = trapezoid_weights(eval_t)
-        rows = values[:, idx, :].reshape(len(streams) * idx.size, width)
-        return FeatureMatrix(
-            rows,
-            streams[0].dim,
-            level,
-            np.repeat(np.arange(len(streams)), idx.size),
-            np.tile(eval_t, len(streams)),
-            np.tile(weights, len(streams)),
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    if not paths:
+        raise ValueError("need at least one path")
+    times = paths[0].times
+    for path in paths:
+        if not np.array_equal(path.times, times):
+            raise ValueError("paths must share one partition")
+    eval_idx = None
+    if eval_times is not None:
+        eval_times = np.asarray(eval_times, dtype=float)
+        if (eval_times < times[0]).any() or (eval_times > times[-1]).any():
+            raise ValueError("eval time outside the path horizon")
+        eval_idx = np.unique(nearest_breakpoints(times, eval_times))
+    values = np.stack([path.values for path in paths])
+    return features_from_values(times, values, level, mode, eval_idx)
 
 
 @dataclass

@@ -65,14 +65,18 @@ def segment_signature(increment, level: int) -> GroupLikeTensor:
 
 
 def signature(path: PiecewiseLinearPath, level: int) -> GroupLikeTensor:
-    """Signature of the whole path on [0, T], truncated at `level`."""
+    """Signature of the whole path on [0, T], truncated at `level`: the
+    last row of its stream table."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    cur = unit_blocks(path.dim, level)
-    for k in range(path.n_segments):
-        seg = segment_exp_blocks(path.values[k + 1] - path.values[k], level)
-        cur = mul_blocks(cur, seg, path.dim)
-    return TruncatedTensor(path.dim, level, cur)
+    row = stream_table(path.values, level, eval_idx=[path.n_segments])[0]
+    return _tensor_from_row(row, path.dim, level)
+
+
+def _tensor_from_row(row: np.ndarray, dim: int, level: int) -> TruncatedTensor:
+    """The tensor whose level-major flattened coefficients are `row`."""
+    splits = np.cumsum([dim**n for n in range(level)])
+    return TruncatedTensor(dim, level, np.split(row, splits))
 
 
 def _check_eval_idx(eval_idx, n_pts: int) -> np.ndarray:
@@ -207,33 +211,28 @@ def _block_word_streams(values, words, eval_idx, out):
             del stream
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignatureStream:
-    """Signatures on [0, t_k] for every breakpoint t_k of one path."""
+    """Signatures on [0, t_k] for every breakpoint t_k of one path: a view
+    on its (K, D) stream table; stream[k] is the tensor at t_k."""
 
     times: np.ndarray
     dim: int
     level: int
-    tensors: list
+    table: np.ndarray
 
     def __len__(self):
-        return len(self.tensors)
+        return self.table.shape[0]
 
-    def terminal(self) -> GroupLikeTensor:
-        return self.tensors[-1]
+    def __getitem__(self, k) -> GroupLikeTensor:
+        return _tensor_from_row(self.table[k], self.dim, self.level)
 
 
 def signature_stream(path: PiecewiseLinearPath, level: int) -> SignatureStream:
     if level < 0:
         raise ValueError("level must be >= 0")
     table = stream_table(path.values, level)
-    sizes = [path.dim**n for n in range(level + 1)]
-    splits = np.cumsum(sizes)[:-1]
-    tensors = [
-        TruncatedTensor(path.dim, level, np.split(row, splits))
-        for row in table
-    ]
-    return SignatureStream(path.times.copy(), path.dim, level, tensors)
+    return SignatureStream(path.times.copy(), path.dim, level, table)
 
 
 @dataclass(frozen=True)

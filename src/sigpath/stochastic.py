@@ -17,7 +17,12 @@ from typing import Callable
 
 import numpy as np
 
-from .paths import PiecewiseLinearPath, dyadic_times, nearest_breakpoints
+from .paths import (
+    PiecewiseLinearPath,
+    dyadic_times,
+    nearest_breakpoints,
+    time_extend_values,
+)
 from .signature import LinearFunctional
 
 __all__ = [
@@ -322,33 +327,36 @@ def solve_ode_pl(
     return y
 
 
-def sde_exact_gbm(lattice: BrownianLattice, a: float, b: float, y0: float, eval_times):
-    """Exact Stratonovich geometric Brownian motion y0 exp(a t + b W_t),
-    with W read from the finest-grid interpolation at eval_times."""
-    if lattice.d != 1:
+def sde_exact_gbm(times, values, a: float, b: float, y0: float) -> np.ndarray:
+    """Exact Stratonovich geometric Brownian motion y0 exp(a t + b W_t) at
+    the breakpoints `times` (K,) of Brownian values (..., K, 1); returns
+    (..., K)."""
+    values = np.asarray(values, dtype=float)
+    if values.shape[-1] != 1:
         raise ValueError("geometric Brownian target is scalar (d = 1)")
-    eval_times = np.asarray(eval_times, dtype=float)
-    w = interpolate(lattice, lattice.n_max).eval(eval_times)[..., 0]
-    return y0 * np.exp(a * eval_times + b * w)
+    return y0 * np.exp(a * np.asarray(times, dtype=float) + b * values[..., 0])
 
 
 def stratonovich_reference(
-    lattice: BrownianLattice, functional: LinearFunctional, eval_times
+    times, values, functional: LinearFunctional, eval_times
 ) -> np.ndarray:
-    """Evaluate a linear functional on the signature stream of the finest
-    time-extended interpolation, at the breakpoints nearest eval_times.
+    """Evaluate a linear functional on the signature stream of the
+    time-extended interpolation of (..., K, d) values on `times` (K,), at
+    the breakpoints nearest eval_times; returns (...,) + eval_times.shape.
 
-    Serves as the fine-grid proxy for the corresponding functional of the
-    underlying Brownian signature.
+    On a fine lattice this is the proxy for the corresponding functional of
+    the underlying Brownian signature.
     """
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
     eval_times = np.asarray(eval_times, dtype=float)
-    if (eval_times < 0).any() or (eval_times > lattice.T).any():
-        raise ValueError(f"eval times outside [0, {lattice.T}]")
-    if functional.dim != lattice.d + 1:
+    if (eval_times < times[0]).any() or (eval_times > times[-1]).any():
+        raise ValueError(f"eval times outside [{times[0]}, {times[-1]}]")
+    if functional.dim != values.shape[-1] + 1:
         raise ValueError("functional must act on the time-extended alphabet")
-    times = lattice.times
-    hat = np.concatenate([times[:, None], lattice.values], axis=1)
     idx = nearest_breakpoints(times, eval_times).ravel()
     unique_idx, inverse = np.unique(idx, return_inverse=True)
-    values = functional.apply_stream(hat, eval_idx=unique_idx)
-    return values[inverse].reshape(eval_times.shape)
+    out = functional.apply_stream(
+        time_extend_values(times, values), eval_idx=unique_idx
+    )
+    return out[..., inverse].reshape(out.shape[:-1] + eval_times.shape)

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .words import word_to_offset
+
 __all__ = [
     "TruncatedTensor",
     "GroupLikeTensor",
@@ -99,15 +101,6 @@ def flatten_blocks(blocks):
     return np.concatenate(blocks, axis=-1)
 
 
-def _word_offset(word, dim):
-    off = 0
-    for letter in word:
-        if not 0 <= letter < dim:
-            raise ValueError(f"letter {letter} invalid for dim {dim}")
-        off = off * dim + letter
-    return off
-
-
 # -- scalar API ---------------------------------------------------------------
 
 
@@ -144,7 +137,7 @@ class TruncatedTensor:
         n = len(word)
         if n > self.level:
             raise ValueError(f"word length {n} exceeds level {self.level}")
-        return float(self.coeffs[n][_word_offset(word, self.dim)])
+        return float(self.coeffs[n][word_to_offset(word, self.dim)[1]])
 
     def flat(self) -> np.ndarray:
         """All coefficients concatenated level-major."""
@@ -184,7 +177,7 @@ def basis_element(word, dim: int, level: int) -> TruncatedTensor:
     if n > level:
         raise ValueError(f"word length {n} exceeds level {level}")
     blocks = zero_blocks(dim, level)
-    blocks[n][_word_offset(word, dim)] = 1.0
+    blocks[n][word_to_offset(word, dim)[1]] = 1.0
     return TruncatedTensor(dim, level, blocks)
 
 

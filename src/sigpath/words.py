@@ -7,7 +7,6 @@ dim = d + 1 letters and letter 0 addresses the time coordinate.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 
 __all__ = [
@@ -81,10 +80,6 @@ def shuffle(i, j) -> dict:
     multiplicities sum to binomial(|I|+|J|, |I|).
     """
     return dict(_shuffle(tuple(i), tuple(j)))
-
-
-def shuffle_multiplicity_total(i, j) -> int:
-    return math.comb(len(i) + len(j), len(i))
 
 
 def apply_shuffle_check(g, i, j):

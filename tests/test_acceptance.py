@@ -16,11 +16,9 @@ import sigpath.words as wd
 from sigpath.experiments import (
     ExperimentConfig,
     run_config,
-    run_functional,
     run_levy,
     run_moments,
-    run_ode,
-    run_sde,
+    run_regression,
 )
 from sigpath.paths import PiecewiseLinearPath, time_extend
 from sigpath.signature import reverse_check, signature, signature_stream
@@ -92,7 +90,7 @@ def test_criterion_2_time_coordinate_identity():
     for _ in range(10):
         hat = time_extend(random_pl_path(rng, 12, 1))
         stream = signature_stream(hat, 5)
-        for tensor, t in zip(stream.tensors, stream.times):
+        for tensor, t in zip(stream, stream.times):
             for k in range(6):
                 expected = t**k / math.factorial(k)
                 assert abs(tensor.coefficient((0,) * k) - expected) <= 1e-12
@@ -126,7 +124,7 @@ def test_criterion_4_exact_representability():
                 "lam": 0.0,
             }
         )
-        _, rows, _ = run_functional(cfg)
+        _, rows, _ = run_regression(cfg)
         for row in rows:
             assert row["test_error"] <= 1e-6, (target, row["level"], row["test_error"])
     report(4, "exact-representability regressions", started, 120.0)
@@ -147,7 +145,7 @@ def test_criterion_5_expressiveness_monotonicity():
                 "lam": 0.0,
             }
         )
-        _, rows, _ = run_functional(cfg)
+        _, rows, _ = run_regression(cfg)
         sequences[target] = [r["test_error"] for r in rows]
 
     cfg = ExperimentConfig.from_dict(
@@ -163,7 +161,7 @@ def test_criterion_5_expressiveness_monotonicity():
             "lam": 0.0,
         }
     )
-    _, rows, _ = run_ode(cfg)
+    _, rows, _ = run_regression(cfg)
     sequences["linear-ode"] = [r["test_error"] for r in rows]
 
     cfg = ExperimentConfig.from_dict(
@@ -179,7 +177,7 @@ def test_criterion_5_expressiveness_monotonicity():
             "lam": 0.0,
         }
     )
-    _, rows, _ = run_sde(cfg)
+    _, rows, _ = run_regression(cfg)
     sequences["gbm-sde"] = [r["test_error"] for r in rows]
 
     for target, errs in sequences.items():

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from sigpath.experiments import (
     run_config,
     run_levy,
     run_moments,
-    run_sde,
+    run_regression,
 )
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, name, payload):
@@ -152,6 +156,36 @@ def test_missing_config_file_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "case",
+    ["negative-level", "non-utf8-config", "non-utf8-input", "dir-config",
+     "dir-input", "dir-out"],
+)
+def test_bad_cli_input_exits_2(tmp_path, case):
+    csv = tmp_path / "line.csv"
+    csv.write_text("t,x1\n0,0\n1,1\n")
+    cfg = write_config(tmp_path, "exp.json", small_functional_config())
+    binary = tmp_path / "latin1.txt"
+    binary.write_bytes("t,x1\n0,\u00e9\n".encode("latin-1"))
+    argv = {
+        "negative-level": ["sig", "--input", str(csv), "--level", "-1"],
+        "non-utf8-config": ["run", "--config", str(binary)],
+        "non-utf8-input": ["sig", "--input", str(binary)],
+        "dir-config": ["run", "--config", str(tmp_path)],
+        "dir-input": ["sig", "--input", str(tmp_path)],
+        "dir-out": ["run", "--config", cfg, "--out", str(tmp_path)],
+    }[case]
+    assert main(argv) == 2
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_example_config_runs(tmp_path, name):
+    payload = json.loads((CONFIG_DIR / name).read_text())
+    payload["n_samples"] = 20
+    cfg = write_config(tmp_path, name, payload)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
+
+
 def test_config_defaults_by_kind():
     levy = ExperimentConfig.from_dict({"kind": "levy"})
     assert levy.d == 2 and levy.n_samples == 10000 and levy.n_max == 14
@@ -219,7 +253,7 @@ def test_rows_carry_config_hash(tmp_path):
     out = str(tmp_path / "res.csv")
     _, rows = run_config(cfg, out=out)
     assert all(r["config_hash"] == cfg.config_hash() for r in rows)
-    text = open(out).read()
+    text = Path(out).read_text()
     assert cfg.config_hash() in text
 
 
@@ -239,10 +273,8 @@ def test_ode_blowups_excluded_and_counted():
             "lam": 0.0,
         }
     )
-    from sigpath.experiments import run_ode
-
     with np.errstate(over="ignore", invalid="ignore"):
-        _, rows, _ = run_ode(cfg)
+        _, rows, _ = run_regression(cfg)
     assert rows[0]["n_excluded"] >= 0  # runs to completion either way
     assert math.isfinite(rows[0]["test_error"])
 
@@ -264,7 +296,7 @@ def test_sde_samples_each_depth_and_ignores_n_max(monkeypatch):
     for n_max in (12, 14):
         sampled.clear()
         cfg = ExperimentConfig.from_dict({**payload, "n_max": n_max})
-        _, rows, reports = run_sde(cfg)
+        _, rows, reports = run_regression(cfg)
         assert sampled == [4, 6, 8]
         results[n_max] = (
             [{k: v for k, v in row.items() if k != "config_hash"} for row in rows],

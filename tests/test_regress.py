@@ -3,7 +3,7 @@ import pytest
 
 import sigpath.regress as rg
 from sigpath.paths import PiecewiseLinearPath, dyadic_times, time_extend
-from sigpath.signature import LinearFunctional, signature_stream
+from sigpath.signature import LinearFunctional, signature
 from sigpath.stochastic import sample_brownian_batch
 from sigpath.tensor import total_entries
 from sigpath.words import all_words
@@ -174,9 +174,23 @@ def test_build_features_requires_common_partition():
         rg.build_features([a, b], 2)
 
 
-def test_build_features_accepts_streams():
-    hat = time_extend(PiecewiseLinearPath([0, 0.5, 1], [[0.0], [1.0], [2.0]]))
-    stream = signature_stream(hat, 3)
-    from_stream = rg.build_features([stream], 2, mode="stopped")
-    from_path = rg.build_features([hat], 2, mode="stopped")
-    assert np.allclose(from_stream.matrix, from_path.matrix)
+def test_build_features_equals_features_from_values():
+    times = dyadic_times(1.0, 3)
+    values = sample_brownian_batch(9, np.arange(5), 2, 1.0, 3)
+    paths = [PiecewiseLinearPath(times, v) for v in values]
+    cases = [
+        ("terminal", None, None),
+        ("stopped", None, None),
+        # nearest breakpoints 0.125, 0.25, 0.25, 0.75
+        ("stopped", [0.1, 0.3, 0.3, 0.74], [1, 2, 6]),
+    ]
+    for mode, eval_times, eval_idx in cases:
+        built = rg.build_features(paths, 3, mode, eval_times)
+        direct = rg.features_from_values(times, values, 3, mode, eval_idx)
+        for field in ("matrix", "sample_ids", "eval_times", "time_weights"):
+            assert np.array_equal(
+                getattr(built, field), getattr(direct, field)
+            ), (mode, eval_times, field)
+    # and the batched rows are the single-path signatures, bit for bit
+    terminal = rg.build_features(paths, 3, "terminal").matrix
+    assert np.array_equal(terminal, np.stack([signature(p, 3).flat() for p in paths]))

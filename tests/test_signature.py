@@ -77,7 +77,7 @@ def test_time_coordinate_identity():
     rng = np.random.default_rng(3)
     hat = time_extend(random_pl_path(rng, 6, 1))
     stream = signature_stream(hat, 5)
-    for tensor, t in zip(stream.tensors, stream.times):
+    for tensor, t in zip(stream, stream.times):
         for k in range(6):
             assert tensor.coefficient((0,) * k) == pytest.approx(
                 t**k / math.factorial(k), abs=1e-12
@@ -88,22 +88,34 @@ def test_stream_consistency():
     rng = np.random.default_rng(4)
     path = random_pl_path(rng, 7, 2)
     stream = signature_stream(path, 3)
-    assert np.array_equal(stream.tensors[0].flat(), tn.unit(2, 3).flat())
+    assert len(stream) == path.n_segments + 1
+    assert np.array_equal(stream[0].flat(), tn.unit(2, 3).flat())
     assert np.allclose(
-        stream.terminal().flat(), signature(path, 3).flat(), atol=1e-15
+        stream[-1].flat(), signature(path, 3).flat(), atol=1e-15
     )
     # Chen step: next tensor is the running tensor times the segment exponential
     for k in range(path.n_segments):
         step = segment_signature(path.values[k + 1] - path.values[k], 3)
-        chained = tn.mul(stream.tensors[k], step)
-        assert np.allclose(chained.flat(), stream.tensors[k + 1].flat(), atol=1e-12)
+        chained = tn.mul(stream[k], step)
+        assert np.allclose(chained.flat(), stream[k + 1].flat(), atol=1e-12)
+
+
+def test_signature_is_last_stream_table_row():
+    rng = np.random.default_rng(8)
+    for dim, level in [(1, 0), (1, 5), (2, 4), (3, 3)]:
+        for n_seg in (1, 9):
+            path = random_pl_path(rng, n_seg, dim)
+            row = stream_table(path.values, level)[-1]
+            assert np.array_equal(signature(path, level).flat(), row)
+    with pytest.raises(ValueError, match="level"):
+        signature(path, -1)
 
 
 def test_stream_of_line_midpoint():
     line = PiecewiseLinearPath([0, 0.5, 1], [[0.0], [1.0], [2.0]])
     stream = signature_stream(line, 3)
     assert np.allclose(
-        stream.tensors[1].flat(), segment_signature([1.0], 3).flat(), atol=1e-15
+        stream[1].flat(), segment_signature([1.0], 3).flat(), atol=1e-15
     )
 
 

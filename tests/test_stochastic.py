@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import sigpath.stochastic as sto
-from sigpath.paths import PiecewiseLinearPath, dyadic_times, time_extend
+from sigpath.paths import (
+    PiecewiseLinearPath,
+    dyadic_times,
+    time_extend,
+    time_extend_values,
+)
 from sigpath.signature import LinearFunctional, levy_area_functional
 
 
@@ -136,12 +141,19 @@ def test_ode_blowup_is_reported():
 def test_gbm_examples():
     lat = sto.sample_brownian(21, 0, 1, 1.0, 8)
     ts = dyadic_times(1.0, 4)
+    w = lat.restrict(4)
 
-    drifted = sto.sde_exact_gbm(lat, a=0.3, b=0.0, y0=2.0, eval_times=ts)
+    drifted = sto.sde_exact_gbm(ts, w, a=0.3, b=0.0, y0=2.0)
     assert np.allclose(drifted, 2.0 * np.exp(0.3 * ts))
 
-    frozen = sto.sde_exact_gbm(lat, a=0.0, b=0.0, y0=2.0, eval_times=ts)
+    frozen = sto.sde_exact_gbm(ts, w, a=0.0, b=0.0, y0=2.0)
     assert (frozen == 2.0).all()
+
+    driftless = sto.sde_exact_gbm(ts, w, a=0.0, b=1.0, y0=1.0)
+    assert np.allclose(driftless, np.exp(w[:, 0]))
+
+    with pytest.raises(ValueError, match="scalar"):
+        sto.sde_exact_gbm(ts, np.zeros((ts.size, 2)), a=0.0, b=1.0, y0=1.0)
 
 
 def test_gbm_lognormal_mean():
@@ -157,15 +169,19 @@ def test_reference_time_and_coordinate_functionals():
     ts = dyadic_times(1.0, 5)
 
     time_values = sto.stratonovich_reference(
-        lat, LinearFunctional(2, 1, {(0,): 1.0}), ts
+        lat.times, lat.values, LinearFunctional(2, 1, {(0,): 1.0}), ts
     )
     assert np.allclose(time_values, ts, atol=1e-12)
 
-    coord = sto.stratonovich_reference(lat, LinearFunctional(2, 1, {(1,): 1.0}), ts)
+    coord = sto.stratonovich_reference(
+        lat.times, lat.values, LinearFunctional(2, 1, {(1,): 1.0}), ts
+    )
     assert np.allclose(coord, lat.restrict(5)[:, 0], atol=1e-12)
 
     with pytest.raises(ValueError):
-        sto.stratonovich_reference(lat, LinearFunctional(2, 1, {(0,): 1.0}), [2.0])
+        sto.stratonovich_reference(
+            lat.times, lat.values, LinearFunctional(2, 1, {(0,): 1.0}), [2.0]
+        )
 
 
 def test_reference_self_consistency_across_depths():
@@ -179,9 +195,40 @@ def test_reference_self_consistency_across_depths():
         lat10 = sto.sample_brownian(17, i, 2, 1.0, 10)
         lat9 = sto.sample_brownian(17, i, 2, 1.0, 9)
         lat4 = sto.sample_brownian(17, i, 2, 1.0, 4)
-        r10 = sto.stratonovich_reference(lat10, area, ts)
-        r9 = sto.stratonovich_reference(lat9, area, ts)
-        r4 = sto.stratonovich_reference(lat4, area, ts)
+        r10 = sto.stratonovich_reference(lat10.times, lat10.values, area, ts)
+        r9 = sto.stratonovich_reference(lat9.times, lat9.values, area, ts)
+        r4 = sto.stratonovich_reference(lat4.times, lat4.values, area, ts)
         gap_ref.append(np.mean((r10 - r9) ** 2))
         gap_coarse.append(np.mean((r10 - r4) ** 2))
     assert np.sqrt(np.mean(gap_ref)) < 0.5 * np.sqrt(np.mean(gap_coarse))
+
+
+def test_targets_on_a_batch_equal_per_path_calls():
+    times = dyadic_times(1.0, 6)
+    w1 = sto.sample_brownian_batch(5, np.arange(6), 1, 1.0, 6)
+    w2 = sto.sample_brownian_batch(5, np.arange(6), 2, 1.0, 6)
+    area = levy_area_functional()
+    ts = np.array([[0.0, 0.3], [0.51, 1.0]])  # off-breakpoint, 2-D
+    gbm = sto.sde_exact_gbm(times, w1, 0.3, 0.8, 1.5)
+    ref = sto.stratonovich_reference(times, w2, area, ts)
+    assert gbm.shape == (6, times.size) and ref.shape == (6, 2, 2)
+    for i in range(6):
+        assert np.array_equal(gbm[i], sto.sde_exact_gbm(times, w1[i], 0.3, 0.8, 1.5))
+        assert np.array_equal(
+            ref[i], sto.stratonovich_reference(times, w2[i], area, ts)
+        )
+    nested = sto.stratonovich_reference(times, w2.reshape(2, 3, -1, 2), area, ts)
+    assert np.array_equal(nested, ref.reshape(2, 3, 2, 2))
+
+
+def test_reference_at_dyadic_times_reads_the_strided_breakpoints():
+    # the levy runner's reference: the breakpoints nearest a coarser dyadic
+    # grid are exactly every 2**(n - e)-th fine breakpoint, for any T
+    area = levy_area_functional()
+    for T in (1.0, 2.5, 0.3):
+        fine_times = dyadic_times(T, 9)
+        fine = sto.sample_brownian_batch(3, np.arange(4), 2, T, 9)
+        ref = sto.stratonovich_reference(fine_times, fine, area, dyadic_times(T, 5))
+        hat = time_extend_values(fine_times, fine)
+        strided = area.apply_stream(hat, eval_idx=np.arange(2**5 + 1) * 2**4)
+        assert np.array_equal(ref, strided)
