@@ -178,7 +178,7 @@ class ExperimentConfig:
             if key in merged:
                 _check_int(key, merged[key])
         for key in _NUMBER_KEYS:
-            if merged.get(key) is not None:
+            if key in merged and not (key == "lam" and merged[key] is None):
                 _check_number(key, merged[key])
         if merged.get("out") is not None and not isinstance(merged["out"], str):
             raise ConfigError(f"out must be a path string, got {merged['out']!r}")
@@ -398,7 +398,7 @@ def run_levy(cfg: ExperimentConfig):
     for dep, dist in distances.items():
         if not np.isfinite(dist):
             raise NumericalError(f"non-finite distance at depth {dep}")
-    if len(depths) >= 2 and all(d > 0 for d in distances.values()):
+    if len(distances) >= 2 and all(d > 0 for d in distances.values()):
         log2d = np.log2([distances[dep] for dep in depths])
         slope = float(np.polyfit(depths, log2d, 1)[0])
     else:
@@ -542,8 +542,12 @@ def run_config(cfg: ExperimentConfig, out: str | None = None, append: bool = Fal
     """Run one experiment config and persist results; returns (csv_path, rows)."""
     if cfg.kind not in _RUNNERS:
         raise ConfigError(f"kind {cfg.kind!r} is not runnable via run_config")
-    columns, rows, reports = _RUNNERS[cfg.kind](cfg)
     csv_path = out or cfg.out or f"{cfg.kind}-results.csv"
+    if os.path.isdir(csv_path):
+        raise ConfigError(f"results path {csv_path} is a directory")
+    if not os.path.isdir(os.path.dirname(csv_path) or "."):
+        raise ConfigError(f"directory of results path {csv_path} does not exist")
+    columns, rows, reports = _RUNNERS[cfg.kind](cfg)
     write_rows(csv_path, columns, rows, append=append)
     if reports:
         with open(_reports_path(csv_path), "w", encoding="utf-8") as fh:

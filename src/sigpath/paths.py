@@ -7,7 +7,10 @@ weight built from it, and a small CSV interchange format.
 
 from __future__ import annotations
 
+import contextvars
 import io
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +32,13 @@ __all__ = [
     "read_path_csv",
     "write_path_csv",
 ]
+
+
+# Paths per block of the Hoelder lag scan: a block's coordinate rows and
+# scratch buffers stay in cache across all lags.
+_HOLDER_BLOCK = 128
+# Threads for the lag scan; numpy releases the GIL inside its ufunc loops.
+_HOLDER_WORKERS = min(2, os.cpu_count() or 1)
 
 
 class PathFormatError(ValueError):
@@ -171,22 +181,78 @@ def refine_times(times: np.ndarray, m: int) -> np.ndarray:
     return np.append(grid.ravel(), times[-1])
 
 
+def _scan_block(times, block, alpha, best):
+    """Lag scan of one block (n, G, D) of paths into its slice `best` (n,).
+
+    Each lag squares the coordinate increments and adds them in coordinate
+    order, which is the order of np.sum's pairwise summation below eight
+    terms, so the bits match the plain per-lag formula.  Wider paths sum
+    each lag with np.sum itself.
+    """
+    n, n_grid, dim = block.shape
+    coords = [np.ascontiguousarray(block[:, :, k]) for k in range(dim)]
+    acc_buf = np.empty(n * (n_grid - 1))
+    tmp_buf = np.empty_like(acc_buf)
+    row_max = np.empty(n)
+    for lag in range(1, n_grid):
+        width = n_grid - lag
+        acc = acc_buf[: n * width].reshape(n, width)
+        if 0 < dim < 8:
+            tmp = tmp_buf[: n * width].reshape(n, width)
+            for k, coord in enumerate(coords):
+                sq = tmp if k else acc
+                np.subtract(coord[:, lag:], coord[:, :width], out=sq)
+                np.multiply(sq, sq, out=sq)
+                if k:
+                    np.add(acc, sq, out=acc)
+        else:
+            dv = block[:, lag:, :] - block[:, :width, :]
+            np.sum(dv * dv, axis=-1, out=acc)
+        np.sqrt(acc, out=acc)
+        np.divide(acc, (times[lag:] - times[:width]) ** alpha, out=acc)
+        np.max(acc, axis=1, out=row_max)
+        np.maximum(best, row_max, out=best)
+
+
 def max_increment_ratio(times: np.ndarray, values: np.ndarray, alpha: float):
     """max over grid pairs s < t of |X_t - X_s| / (t - s)^alpha.
 
     `values` may carry a batch prefix: shape (..., G, dim).  The scan runs
-    over index lags so the pairwise matrix is never materialised.
+    over index lags so the pairwise matrix is never materialised, in blocks
+    of _HOLDER_BLOCK paths spread over _HOLDER_WORKERS threads; each block
+    owns its slice of the result and max is exact, so the bits depend on
+    neither the blocking nor the scheduling.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    n_grid = times.size
-    best = np.zeros(values.shape[:-2])
-    for lag in range(1, n_grid):
-        dt = times[lag:] - times[:-lag]
-        dv = values[..., lag:, :] - values[..., : n_grid - lag, :]
-        ratio = np.sqrt(np.sum(dv * dv, axis=-1)) / dt**alpha
-        best = np.maximum(best, ratio.max(axis=-1))
-    return best
+    if values.ndim < 2 or values.shape[-2] != times.size:
+        raise ValueError("values must be (..., len(times), dim)")
+    flat = values.reshape(math.prod(values.shape[:-2]), *values.shape[-2:])
+    best = np.zeros(flat.shape[0])
+
+    def scan(start):
+        stop = start + _HOLDER_BLOCK
+        _scan_block(times, flat[start:stop], alpha, best[start:stop])
+
+    starts = range(0, flat.shape[0], _HOLDER_BLOCK)
+    if len(starts) > 1 and _HOLDER_WORKERS > 1:
+        # imported here so that runs without a batched scan load no thread pool
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(_HOLDER_WORKERS) as pool:
+            # each task runs in a copy of the caller's context, so np.errstate
+            # reaches the workers
+            tasks = [
+                pool.submit(contextvars.copy_context().run, scan, start)
+                for start in starts
+            ]
+            for task in tasks:
+                task.result()
+    else:
+        for start in starts:
+            scan(start)
+    # [()] makes the result for a single path a numpy scalar
+    return best.reshape(values.shape[:-2])[()]
 
 
 def holder_norm(path: PiecewiseLinearPath, alpha: float, m: int = 16) -> float:

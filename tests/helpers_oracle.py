@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's own algebra: iterated integrals are
 done by cumulative Riemann-Stieltjes sums on a dense grid, Hoelder norms by
-explicit pairwise maxima, shuffles by enumerating interleavings, and products
-of one-dimensional tensors by series convolution.
+explicit pairwise maxima or a plain lag loop, shuffles by enumerating
+interleavings, and products of one-dimensional tensors by series convolution.
 """
 
 import itertools
@@ -38,6 +38,22 @@ def dense_holder_oracle(path, alpha, n_points=4097, extra_times=None):
     diffs = vals[jj] - vals[ii]
     dist = np.sqrt(np.sum(diffs * diffs, axis=1))
     return float(np.max(dist / (grid[jj] - grid[ii]) ** alpha))
+
+
+def lag_scan_oracle(times, values, alpha):
+    """max over grid pairs s < t of |X_t - X_s| / (t - s)^alpha, one index
+    lag at a time over the whole (..., G, dim) batch: the plain formula the
+    blocked scan in `paths.max_increment_ratio` must match bit for bit."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    n_grid = times.size
+    best = np.zeros(values.shape[:-2])
+    for lag in range(1, n_grid):
+        dt = times[lag:] - times[:-lag]
+        dv = values[..., lag:, :] - values[..., : n_grid - lag, :]
+        ratio = np.sqrt(np.sum(dv * dv, axis=-1)) / dt**alpha
+        best = np.maximum(best, ratio.max(axis=-1))
+    return best
 
 
 def series_product_1d(a, b):

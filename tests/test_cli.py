@@ -1,13 +1,20 @@
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sigpath.experiments as experiments
 from sigpath.cli import main
 from sigpath.experiments import (
+    EXPERIMENT_KINDS,
+    FUNCTIONAL_TARGETS,
+    LEVY_TARGETS,
+    VECTOR_FIELDS,
     ExperimentConfig,
     run_config,
     run_levy,
@@ -141,9 +148,11 @@ def test_config_errors_exit_2(tmp_path):
         (small_functional_config(seed=True), []),
         (small_functional_config(depths=[2.7]), []),
         (small_functional_config(T=float("nan")), []),
+        (small_functional_config(T=None), []),
     ],
     ids=["float-n_samples", "string-p", "string-lam", "json-list",
-         "json-list-seed-override", "bool-seed", "fractional-depth", "nan-T"],
+         "json-list-seed-override", "bool-seed", "fractional-depth", "nan-T",
+         "null-T"],
 )
 def test_mistyped_config_exits_2(tmp_path, payload, extra):
     cfg = write_config(tmp_path, "bad.json", payload)
@@ -176,6 +185,71 @@ def test_bad_cli_input_exits_2(tmp_path, case):
         "dir-out": ["run", "--config", cfg, "--out", str(tmp_path)],
     }[case]
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("case", ["dir-out", "missing-parent"])
+def test_bad_out_exits_2_before_the_run(tmp_path, monkeypatch, case):
+    def never(cfg):
+        raise AssertionError("the experiment ran before --out was checked")
+
+    monkeypatch.setitem(experiments._RUNNERS, "functional", never)
+    cfg = write_config(tmp_path, "exp.json", small_functional_config())
+    out = {"dir-out": tmp_path, "missing-parent": tmp_path / "no" / "o.csv"}[case]
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+
+
+# Tiny valid values per config key: no config drawn here asks for more than
+# 40 paths on a 2^10 lattice.
+CONFIG_FIELDS = {
+    "seed": st.integers(0, 2**64 - 1),
+    "d": st.integers(1, 2),
+    "T": st.sampled_from([0.5, 1.0, 2.5]),
+    "depths": st.lists(st.integers(0, 6), min_size=1, max_size=2),
+    "levels": st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    "n_samples": st.integers(10, 40),
+    "p": st.sampled_from([1, 2.0, 3.5]),
+    "alpha": st.sampled_from([0.34, 0.4, 0.49]),
+    "beta": st.sampled_from([0.01, 0.05, 500.0]),
+    "gamma": st.sampled_from([1, 2.0]),
+    "m": st.integers(1, 4),
+    "lam": st.sampled_from([None, 0.0, 1e-3]),
+    "target": st.sampled_from(FUNCTIONAL_TARGETS + LEVY_TARGETS),
+    "field": st.sampled_from(VECTOR_FIELDS),
+    "a": st.sampled_from([-0.5, 0.0, 0.5]),
+    "b": st.sampled_from([0.5, 1.0]),
+    "y0": st.sampled_from([-1.0, 1.0]),
+    "substeps": st.integers(1, 4),
+    "n_max": st.integers(0, 10),
+}
+# Mistyped and out-of-range values; no large integer, since a valid huge
+# n_samples, d or m would be accepted and allocated.
+BAD_VALUES = st.sampled_from(
+    ["x", "8", -1, 0, 2.5, True, None, [], [-1], [2.5], {}, float("nan"), "mystery"]
+)
+
+
+@st.composite
+def run_configs(draw):
+    payload = {"kind": draw(st.sampled_from(EXPERIMENT_KINDS))}
+    optional = draw(st.lists(st.sampled_from(sorted(CONFIG_FIELDS)), max_size=5))
+    for key in ["n_samples", "depths", "n_max", *optional]:
+        payload[key] = draw(CONFIG_FIELDS[key])
+    for key in draw(st.lists(st.sampled_from(sorted(payload)), max_size=2)):
+        payload[key] = draw(BAD_VALUES)
+    if draw(st.integers(0, 3)) == 0:
+        payload["bogus"] = 1
+    return payload
+
+
+@settings(deadline=None, max_examples=40)
+@given(run_configs())
+def test_run_exit_code_contract(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), "cfg.json", payload)
+        out = Path(tmp) / "out.csv"
+        code = main(["run", "--config", cfg, "--out", str(out)])
+        assert code in (0, 2, 3)
+        assert out.exists() == (code == 0)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
@@ -229,6 +303,14 @@ def test_levy_time_coordinate_distance_is_zero():
     )
     _, rows, _ = run_levy(cfg)
     assert all(r["distance"] <= 1e-12 for r in rows)
+
+
+def test_levy_repeated_depth_has_no_slope():
+    cfg = ExperimentConfig.from_dict(
+        {"kind": "levy", "seed": 1, "n_samples": 10, "depths": [1, 1], "n_max": 5}
+    )
+    _, rows, _ = run_levy(cfg)
+    assert len(rows) == 2 and all(math.isnan(r["slope"]) for r in rows)
 
 
 def test_levy_first_coordinate_slope(tmp_path):

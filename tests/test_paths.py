@@ -1,4 +1,6 @@
+import concurrent.futures
 import io
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sigpath.paths as pth
-from helpers_oracle import dense_holder_oracle, random_pl_path
+from helpers_oracle import dense_holder_oracle, lag_scan_oracle, random_pl_path
 
 
 @st.composite
@@ -133,6 +135,106 @@ def test_holder_norm_rejects_bad_alpha():
         pth.holder_norm(line, 0.0)
     with pytest.raises(ValueError):
         pth.holder_norm(line, 1.5)
+
+
+SCAN_GRIDS = {
+    "two-point": np.array([0.0, 1.0]),
+    "dyadic": pth.dyadic_times(1.0, 4),
+    "non-dyadic": pth.refine_times(pth.dyadic_times(2.5, 4), 3),
+}
+
+
+def scan_values(seed, batch, n_grid, dim):
+    rng = np.random.default_rng(seed)
+    return np.cumsum(rng.normal(size=batch + (n_grid, dim)), axis=-2)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from([(), (5,), (3, 4), (2, 130)]),
+    st.sampled_from(sorted(SCAN_GRIDS)),
+    st.sampled_from([1, 2, 3, 9]),
+    st.sampled_from([0.4, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_lag_scan_matches_oracle_bitwise(batch, grid, dim, alpha, seed):
+    times = SCAN_GRIDS[grid]
+    values = scan_values(seed, batch, times.size, dim)
+    assert_same_bits(
+        pth.max_increment_ratio(times, values, alpha),
+        lag_scan_oracle(times, values, alpha),
+    )
+
+
+@pytest.mark.parametrize("n", [127, 128, 129, 300])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_lag_scan_block_edges(n, dim):
+    times = SCAN_GRIDS["non-dyadic"]
+    values = scan_values(n, (n,), times.size, dim)
+    assert_same_bits(
+        pth.max_increment_ratio(times, values, 0.4),
+        lag_scan_oracle(times, values, 0.4),
+    )
+
+
+def test_lag_scan_independent_of_blocking_and_workers(monkeypatch):
+    times = SCAN_GRIDS["dyadic"]
+    values = scan_values(3, (300,), times.size, 3)
+    want = lag_scan_oracle(times, values, 0.4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the workers as often as possible
+    try:
+        for block in (1, 7, 1000):
+            for workers in (1, 2, 4):
+                monkeypatch.setattr(pth, "_HOLDER_BLOCK", block)
+                monkeypatch.setattr(pth, "_HOLDER_WORKERS", workers)
+                assert_same_bits(pth.max_increment_ratio(times, values, 0.4), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_lag_scan_single_path_runs_inline(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("single-path scan built a thread pool")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(pth, "_HOLDER_WORKERS", 2)
+    times = SCAN_GRIDS["non-dyadic"]
+    values = scan_values(4, (), times.size, 2)
+    assert_same_bits(
+        pth.max_increment_ratio(times, values, 0.4),
+        lag_scan_oracle(times, values, 0.4),
+    )
+    path = pth.PiecewiseLinearPath(times, values)
+    assert pth.holder_norm(path, 0.4, m=4) > 0.0
+    assert pth.weight(path, 0.4, beta=0.01, m=4) > 1.0
+
+
+def test_lag_scan_workers_keep_the_callers_errstate(monkeypatch):
+    monkeypatch.setattr(pth, "_HOLDER_WORKERS", 2)
+    times = SCAN_GRIDS["dyadic"]
+    values = scan_values(5, (300,), times.size, 2) * 1e200
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            pth.max_increment_ratio(times, values, 0.4)
+    with np.errstate(over="ignore"):
+        assert np.isinf(pth.max_increment_ratio(times, values, 0.4)).all()
+
+
+@pytest.mark.parametrize(
+    "times, shape",
+    [([0.0, 1.0], (5, 1)), ([0.0, 1.0], (3, 1, 1)), ([0.0, 0.5, 1.0], (2, 1)),
+     ([0.0, 1.0], (2,))],
+    ids=["extra-rows", "batched-too-few-rows", "too-few-rows", "no-dim-axis"],
+)
+def test_lag_scan_rejects_mismatched_grid(times, shape):
+    with pytest.raises(ValueError, match=r"values must be \(\.\.\., len\(times\), dim\)"):
+        pth.max_increment_ratio(times, np.ones(shape), 0.4)
 
 
 def test_weight_examples():
