@@ -200,6 +200,8 @@ class ExperimentConfig:
             raise ConfigError("need d >= 1 and T > 0")
         if not c.depths:
             raise ConfigError("depths must be non-empty")
+        if any(len(set(v)) != len(v) for v in (c.depths, c.levels)):
+            raise ConfigError("depths and levels must not repeat an entry")
         if c.n_max > 24 or any(not 0 <= dep <= c.n_max for dep in c.depths):
             raise ConfigError("depths must lie in 0..n_max and n_max <= 24")
         if c.n_samples < 10:

@@ -7,8 +7,8 @@ equals the iterated Riemann-Stieltjes integrals of the interpolated path.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,16 +17,13 @@ from .tensor import (
     GroupLikeTensor,
     TruncatedTensor,
     add,
-    flatten_blocks,
     mul,
-    mul_blocks,
     norm,
     scale,
     total_entries,
     unit,
-    unit_blocks,
 )
-from .words import check_word, word_to_offset
+from .words import all_words, check_word, word_to_offset
 
 __all__ = [
     "SignatureStream",
@@ -67,8 +64,6 @@ def segment_signature(increment, level: int) -> GroupLikeTensor:
 def signature(path: PiecewiseLinearPath, level: int) -> GroupLikeTensor:
     """Signature of the whole path on [0, T], truncated at `level`: the
     last row of its stream table."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
     row = stream_table(path.values, level, eval_idx=[path.n_segments])[0]
     return _tensor_from_row(row, path.dim, level)
 
@@ -100,115 +95,122 @@ def stream_table(values: np.ndarray, level: int, eval_idx=None) -> np.ndarray:
         (default: all K breakpoints).
 
     Returns (..., len(eval_idx), D) with the D = total_entries(m, level)
-    coefficients flattened level-major.  One Chen product per breakpoint;
-    only the requested rows are stored.
+    coefficients flattened level-major: word_streams over every word of
+    length <= level; only the requested rows are stored.
     """
+    if level < 0:
+        raise ValueError("level must be >= 0")
     values = np.asarray(values, dtype=float)
-    n_pts, m = values.shape[-2], values.shape[-1]
-    batch = values.shape[:-2]
-    eval_idx = _check_eval_idx(eval_idx, n_pts)
-    width = total_entries(m, level)
-    out = np.empty(batch + (eval_idx.size, width))
-    keep = np.full(n_pts, -1, dtype=int)
-    keep[eval_idx] = np.arange(eval_idx.size)
-
-    cur = unit_blocks(m, level, batch)
-    if keep[0] >= 0:
-        out[..., keep[0], :] = flatten_blocks(cur)
-    for k in range(n_pts - 1):
-        incr = values[..., k + 1, :] - values[..., k, :]
-        cur = mul_blocks(cur, segment_exp_blocks(incr, level), m)
-        if keep[k + 1] >= 0:
-            out[..., keep[k + 1], :] = flatten_blocks(cur)
-    return out
+    return word_streams(values, all_words(values.shape[-1], level), eval_idx)
 
 
-# Paths per block in word_streams: the per-word temporaries are
-# (block, K) arrays, so the block size bounds them independently of the batch.
+# Paths per block and segments per chunk in word_streams: the per-word
+# temporaries are (block, chunk) arrays, so the two bound them independently
+# of the batch and of the path length.
 _WORD_BLOCK = 32
+_SEGMENT_CHUNK = 4096
 
 
 def word_streams(values: np.ndarray, words, eval_idx=None) -> np.ndarray:
-    """Stream coordinates of selected words, without the dense table.
+    """Stream coordinates of selected words.
 
     values : (..., K, m) absolute breakpoint values, arbitrary batch prefix.
     words : words over the alphabet 0..m-1, in any order and of any length.
     eval_idx : increasing breakpoint indices (default: all K breakpoints).
 
-    Returns (..., len(eval_idx), len(words)), bit-identical to the matching
-    columns of stream_table(values, max word length, eval_idx).  Only the
-    prefixes of the requested words are streamed, each by one prefix sum
-    over the segments: S^w_{k+1} = S^w_k + T_k with
+    Returns (..., len(eval_idx), len(words)).  Only the prefixes of the
+    requested words are streamed, each by one prefix sum over the segments:
+    S^w_{k+1} = S^w_k + T_k with
     T_k = ((E^w + S^{w[:1]} E^{w[1:]}) + S^{w[:2]} E^{w[2:]}) + ...
     and E^u = ((x_{u1}/1) x_{u2}/2) ... the segment-exponential coordinates,
-    summed in the order of mul_blocks and segment_exp_blocks.
+    summed in the order of the Chen product (tensor.mul_blocks) and
+    segment_exp_blocks, so every coordinate has the bits of the dense
+    per-breakpoint Chen loop.
     """
     values = np.asarray(values, dtype=float)
     n_pts, m = values.shape[-2], values.shape[-1]
     batch = values.shape[:-2]
     eval_idx = _check_eval_idx(eval_idx, n_pts)
-    words = [tuple(int(l) for l in w) for w in words]
-    for w in words:
-        check_word(w, m)
+    words = tuple(map(tuple, words))
+    plan = _word_plan(words, m)
     flat = values.reshape((-1, n_pts, m))
-    out = np.empty((flat.shape[0], eval_idx.size, len(words)))
+    # zeros: a kept first breakpoint is the unit tensor, 0 off the empty word
+    out = np.zeros((flat.shape[0], eval_idx.size, len(words)))
     for start in range(0, flat.shape[0], _WORD_BLOCK):
-        block = flat[start : start + _WORD_BLOCK]
-        _block_word_streams(
-            block, words, eval_idx, out[start : start + block.shape[0]]
-        )
+        stop = start + _WORD_BLOCK
+        _block_word_streams(flat[start:stop], plan, eval_idx, out[start:stop])
     return out.reshape(batch + out.shape[1:])
 
 
-def _block_word_streams(values, words, eval_idx, out):
-    """word_streams of one (b, K, m) block of paths, written into `out`."""
-    n_pts = values.shape[1]
-    dx = np.moveaxis(np.diff(values, axis=1), -1, 0).copy()  # (m, b, K-1)
-    prefixes = sorted({w[:n] for w in words for n in range(1, len(w) + 1)})
-    infixes = sorted({v[k:] for v in prefixes for k in range(len(v))})
-    # remaining reads of each intermediate; it is dropped after the last one
-    reads = Counter((u[:-1], "E") for u in infixes if len(u) > 1)
-    for v in prefixes:
-        reads.update((v[k:], "E") for k in range(len(v)))
-        reads.update((v[:k], "S") for k in range(1, len(v)))
-    cache = {}
-
-    def take(word, kind):
-        arr = cache[word, kind]
-        reads[word, kind] -= 1
-        if not reads[word, kind]:
-            del cache[word, kind]
-        return arr
-
+@lru_cache(maxsize=16)
+def _word_plan(words, m):
+    """How word_streams computes a tuple of words over 0..m-1: the output
+    columns of each word, and the intermediates E^u (infixes u) and S^v
+    (prefixes v) in build order, each with the intermediates whose last
+    read it is (dropped once it is built) and whether a later one reads it."""
+    words = [tuple(int(l) for l in w) for w in words]
+    for w in words:
+        check_word(w, m)
+    prefixes = {w[:n] for w in words for n in range(1, len(w) + 1)}
+    infixes = {v[k:] for v in prefixes for k in range(len(v))}
+    built = [(u, "E") for u in infixes] + [(v, "S") for v in prefixes]
+    built.sort(key=lambda key: (len(key[0]), key))
+    steps, later = [], set()
+    for word, kind in reversed(built):
+        if kind == "E":
+            reads = [(word[:-1], "E")] if len(word) > 1 else []
+        else:
+            reads = [(word[k:], "E") for k in range(len(word))]
+            reads += [(word[:k], "S") for k in range(1, len(word))]
+        drops = [r for r in reads if r not in later]
+        steps.append((word, kind, drops, (word, kind) in later))
+        later.update(reads)
     columns = {}
     for i, w in enumerate(words):
         columns.setdefault(w, []).append(i)
-    out[..., columns.pop((), [])] = 1.0
-    for n in range(1, max(map(len, prefixes), default=0) + 1):
-        scaled = {}
-        for u in (u for u in infixes if len(u) == n):
-            if n == 1:
-                cache[u, "E"] = dx[u[0]]
+    return steps[::-1], columns
+
+
+def _block_word_streams(values, plan, eval_idx, out):
+    """word_streams of one (b, K, m) block of paths, written into `out`, in
+    chunks of _SEGMENT_CHUNK segments: each stream starts a chunk from its
+    last value in the chunk before, and its prefix sum is sequential, so the
+    bits do not depend on the chunking."""
+    steps, columns = plan
+    n_paths, n_seg = values.shape[0], values.shape[1] - 1
+    out[..., columns.get((), [])] = 1.0
+    carry = {}
+    for s0 in range(0, n_seg, _SEGMENT_CHUNK):
+        s1 = min(s0 + _SEGMENT_CHUNK, n_seg)
+        # kept breakpoints s0 < k <= s1 sit at column k - s0 of a chunk stream
+        rows = slice(*np.searchsorted(eval_idx, [s0 + 1, s1 + 1]))
+        local = eval_idx[rows] - s0
+        dx = np.moveaxis(np.diff(values[:, s0 : s1 + 1], axis=1), -1, 0).copy()
+        cache = {}
+        for word, kind, drops, keep in steps:
+            n = len(word)
+            if kind == "E" and n == 1:
+                arr = dx[word[0]]
+            elif kind == "E":
+                arr = cache[word[:-1], "E"] * (dx[word[-1]] / n)
             else:
-                if u[-1] not in scaled:
-                    scaled[u[-1]] = dx[u[-1]] / n
-                cache[u, "E"] = take(u[:-1], "E") * scaled[u[-1]]
-        del scaled
-        for v in (v for v in prefixes if len(v) == n):
-            step = take(v, "E")
-            for k in range(1, n):
-                step = step + take(v[:k], "S")[:, :-1] * take(v[k:], "E")
-            stream = np.empty((values.shape[0], n_pts))
-            stream[:, 0] = 0.0
-            stream[:, 1:] = step
-            del step
-            # add.accumulate is sequential: stream[k+1] = stream[k] + step[k]
-            np.cumsum(stream, axis=1, out=stream)
-            for i in columns.get(v, ()):
-                out[..., i] = stream[:, eval_idx]
-            if reads.get((v, "S")):
-                cache[v, "S"] = stream
-            del stream
+                step = cache[word, "E"]
+                for k in range(1, n):
+                    step = step + cache[word[:k], "S"] * cache[word[k:], "E"]
+                arr = np.empty((n_paths, s1 - s0 + 1))
+                arr[:, 0] = carry.get(word, 0.0)
+                arr[:, 1:] = step
+                # sequential: arr[k+1] = arr[k] + step[k]
+                np.add.accumulate(arr, axis=1, out=arr)
+                if s1 < n_seg:
+                    carry[word] = arr[:, -1].copy()
+                for i in columns.get(word, ()):
+                    out[:, rows, i] = arr[:, local]
+                arr = arr[:, :-1]  # S^v is read at the segment starts
+            for key in drops:
+                del cache[key]
+            if keep:
+                cache[word, kind] = arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,8 +231,6 @@ class SignatureStream:
 
 
 def signature_stream(path: PiecewiseLinearPath, level: int) -> SignatureStream:
-    if level < 0:
-        raise ValueError("level must be >= 0")
     table = stream_table(path.values, level)
     return SignatureStream(path.times.copy(), path.dim, level, table)
 
@@ -268,12 +268,9 @@ class LinearFunctional:
     def coefficient_vector(self) -> np.ndarray:
         """Dense coefficients over all words of length <= level, level-major."""
         vec = np.zeros(total_entries(self.dim, self.level))
-        starts = np.concatenate(
-            [[0], np.cumsum([self.dim**n for n in range(self.level + 1)])]
-        )
         for word, value in self.coeffs.items():
             n, off = word_to_offset(word, self.dim)
-            vec[starts[n] + off] = value
+            vec[total_entries(self.dim, n - 1) + off] = value
         return vec
 
     def apply_stream(self, values: np.ndarray, eval_idx=None) -> np.ndarray:

@@ -6,8 +6,8 @@ order (first letter most significant).  Level 0 is the scalar part.
 
 The block-level kernels at the bottom operate on plain lists of ndarrays and
 accept an arbitrary common batch prefix in front of the coefficient axis;
-they are shared by the scalar `TruncatedTensor` API and by the batched
-signature / feature-matrix code.
+they serve the scalar `TruncatedTensor` API (batched signature streams are
+computed word by word in `signature.word_streams`).
 """
 
 from __future__ import annotations

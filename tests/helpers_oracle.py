@@ -1,9 +1,10 @@
 """Independent oracles used across the test suite.
 
-These deliberately avoid the library's own algebra: iterated integrals are
-done by cumulative Riemann-Stieltjes sums on a dense grid, Hoelder norms by
-explicit pairwise maxima or a plain lag loop, shuffles by enumerating
-interleavings, and products of one-dimensional tensors by series convolution.
+These deliberately avoid the library's own kernels: iterated integrals are
+done by cumulative Riemann-Stieltjes sums on a dense grid, signature streams
+by one dense Chen product per breakpoint, Hoelder norms by explicit pairwise
+maxima or a plain lag loop, shuffles by enumerating interleavings, and
+products of one-dimensional tensors by series convolution.
 """
 
 import itertools
@@ -24,20 +25,51 @@ def iterated_integral_riemann(path, word, n_grid=1000):
     return float(f[-1])
 
 
+def chen_stream_oracle(values, level, eval_idx=None):
+    """Signature stream of the piecewise linear path(s) through `values`
+    (..., K, m) by one dense Chen product per breakpoint, rows at eval_idx
+    (default: all K): the loop the word-stream kernel behind
+    `signature.stream_table` must match bit for bit."""
+    from sigpath.signature import segment_exp_blocks
+    from sigpath.tensor import flatten_blocks, mul_blocks, total_entries, unit_blocks
+
+    values = np.asarray(values, dtype=float)
+    n_pts, m = values.shape[-2], values.shape[-1]
+    batch = values.shape[:-2]
+    eval_idx = np.arange(n_pts) if eval_idx is None else np.asarray(eval_idx, dtype=int)
+    width = total_entries(m, level)
+    out = np.empty(batch + (eval_idx.size, width))
+    keep = np.full(n_pts, -1, dtype=int)
+    keep[eval_idx] = np.arange(eval_idx.size)
+
+    cur = unit_blocks(m, level, batch)
+    if keep[0] >= 0:
+        out[..., keep[0], :] = flatten_blocks(cur)
+    for k in range(n_pts - 1):
+        incr = values[..., k + 1, :] - values[..., k, :]
+        cur = mul_blocks(cur, segment_exp_blocks(incr, level), m)
+        if keep[k + 1] >= 0:
+            out[..., keep[k + 1], :] = flatten_blocks(cur)
+    return out
+
+
 def dense_holder_oracle(path, alpha, n_points=4097, extra_times=None):
     """Pairwise maximum of |X_t - X_s| / (t-s)^alpha over a dense grid.
 
     The grid is the union of a uniform n_points grid with any extra times,
-    so it dominates every candidate grid built from those times.
+    so it dominates every candidate grid built from those times.  The pairs
+    (i, j > i) are taken one row i at a time, so memory stays O(grid).
     """
     grid = np.linspace(0.0, path.T, n_points)
     if extra_times is not None:
         grid = np.union1d(grid, np.asarray(extra_times, dtype=float))
     vals = path.eval(grid)
-    ii, jj = np.triu_indices(grid.size, k=1)
-    diffs = vals[jj] - vals[ii]
-    dist = np.sqrt(np.sum(diffs * diffs, axis=1))
-    return float(np.max(dist / (grid[jj] - grid[ii]) ** alpha))
+    best = -np.inf
+    for i in range(grid.size - 1):
+        diffs = vals[i + 1 :] - vals[i]
+        dist = np.sqrt(np.sum(diffs * diffs, axis=1))
+        best = max(best, np.max(dist / (grid[i + 1 :] - grid[i]) ** alpha))
+    return float(best)
 
 
 def lag_scan_oracle(times, values, alpha):

@@ -305,12 +305,28 @@ def test_levy_time_coordinate_distance_is_zero():
     assert all(r["distance"] <= 1e-12 for r in rows)
 
 
-def test_levy_repeated_depth_has_no_slope():
+def test_levy_single_depth_has_no_slope():
     cfg = ExperimentConfig.from_dict(
-        {"kind": "levy", "seed": 1, "n_samples": 10, "depths": [1, 1], "n_max": 5}
+        {"kind": "levy", "seed": 1, "n_samples": 10, "depths": [1], "n_max": 5}
     )
     _, rows, _ = run_levy(cfg)
-    assert len(rows) == 2 and all(math.isnan(r["slope"]) for r in rows)
+    assert len(rows) == 1 and math.isnan(rows[0]["slope"])
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"kind": "levy", "n_samples": 10, "depths": [1, 1], "n_max": 5},
+        small_functional_config(depths=[4, 3, 4]),
+        small_functional_config(levels=[1, 2, 1]),
+    ],
+    ids=["levy-depth", "functional-depth", "functional-level"],
+)
+def test_repeated_depth_or_level_exits_2(tmp_path, payload):
+    cfg = write_config(tmp_path, "rep.json", payload)
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_levy_first_coordinate_slope(tmp_path):

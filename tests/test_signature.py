@@ -1,4 +1,6 @@
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +21,14 @@ from sigpath.signature import (
     word_streams,
 )
 from sigpath.experiments import LEVY_TARGETS, _levy_functional
-from helpers_oracle import iterated_integral_riemann, random_pl_path
+from helpers_oracle import (
+    chen_stream_oracle,
+    iterated_integral_riemann,
+    random_pl_path,
+)
+
+# the package re-exports the function `signature`, which shadows the module
+sg = importlib.import_module("sigpath.signature")
 
 
 def scaled(path, lam):
@@ -105,7 +114,7 @@ def test_signature_is_last_stream_table_row():
     for dim, level in [(1, 0), (1, 5), (2, 4), (3, 3)]:
         for n_seg in (1, 9):
             path = random_pl_path(rng, n_seg, dim)
-            row = stream_table(path.values, level)[-1]
+            row = chen_stream_oracle(path.values, level)[-1]
             assert np.array_equal(signature(path, level).flat(), row)
     with pytest.raises(ValueError, match="level"):
         signature(path, -1)
@@ -237,7 +246,7 @@ def word_stream_cases(draw):
 def test_word_streams_equal_dense_columns(case):
     # arbitrary (not prefix-closed, possibly repeated) word sets
     values, level, eval_idx, words = case
-    dense = stream_table(values, level, eval_idx=eval_idx)
+    dense = chen_stream_oracle(values, level, eval_idx=eval_idx)
     columns = [wd.all_words(values.shape[-1], level).index(w) for w in words]
     sparse = word_streams(values, words, eval_idx=eval_idx)
     assert sparse.shape == dense[..., columns].shape
@@ -252,8 +261,77 @@ def test_apply_stream_matches_dense_levy_targets(target):
     values = rng.normal(size=(70, 129, 3)).cumsum(axis=1)
     eval_idx = np.arange(0, 129, 4)
     got = functional.apply_stream(values, eval_idx=eval_idx)
-    dense = stream_table(values, functional.level, eval_idx=eval_idx)
+    dense = chen_stream_oracle(values, functional.level, eval_idx=eval_idx)
     assert np.array_equal(got, dense @ functional.coefficient_vector())
     assert got.flags.c_contiguous
     with pytest.raises(ValueError):
         functional.apply_stream(values[..., :2])
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@st.composite
+def stream_table_cases(draw):
+    dim = draw(st.integers(1, 3))
+    level = draw(st.integers(0, 4))
+    batch = draw(
+        st.one_of(
+            st.just(()),
+            st.tuples(st.integers(1, 40)),
+            st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        )
+    )
+    n_pts = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=batch + (n_pts, dim)).cumsum(axis=-2)
+    eval_idx = draw(
+        st.one_of(st.none(), st.sets(st.integers(0, n_pts - 1)).map(sorted))
+    )
+    return values, level, eval_idx
+
+
+@settings(deadline=None, max_examples=150)
+@given(stream_table_cases())
+def test_stream_table_equals_chen_oracle_bitwise(case):
+    values, level, eval_idx = case
+    got = stream_table(values, level, eval_idx=eval_idx)
+    want = chen_stream_oracle(values, level, eval_idx=eval_idx)
+    assert got.shape == want.shape
+    assert np.array_equal(bits(got), bits(want))
+
+
+def test_stream_table_independent_of_blocking(monkeypatch):
+    # segment counts on both sides of each chunk size and one that carries
+    # into a third chunk, 33 paths on both sides of each block size; all rows
+    # kept, so every chunk edge is compared
+    default_chunk, default_block = sg._SEGMENT_CHUNK, sg._WORD_BLOCK
+    rng = np.random.default_rng(12)
+    for chunk in (1, 7, default_chunk):
+        for n_seg in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+            values = rng.normal(size=(default_block + 1, n_seg + 1, 2)).cumsum(axis=1)
+            want = bits(chen_stream_oracle(values, 3))
+            for block in (1, 7, default_block):
+                monkeypatch.setattr(sg, "_SEGMENT_CHUNK", chunk)
+                monkeypatch.setattr(sg, "_WORD_BLOCK", block)
+                assert np.array_equal(bits(stream_table(values, 3)), want)
+
+
+def test_stream_table_memory_is_bounded_by_block_and_chunk():
+    values = np.random.default_rng(13).normal(size=(10, 65537, 2)).cumsum(axis=1)
+    stream_table(values[:, :3], 4)  # warm up outside the trace
+    tracemalloc.start()
+    try:
+        row = stream_table(values, 4, eval_idx=[65536])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert row.shape == (10, 1, 31)
+    # unchunked, the per-word (paths, K) temporaries peak near 155 MiB
+    assert peak <= 32 * 2**20
+
+
+def test_stream_table_rejects_negative_level():
+    with pytest.raises(ValueError, match="level"):
+        stream_table(np.zeros((3, 2)), -1)
