@@ -37,7 +37,6 @@ from .signature import (
     levy_area_functional,
     reverse_check,
     segment_signature,
-    signature,
     signature_stream,
 )
 from .stochastic import (

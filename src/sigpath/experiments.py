@@ -51,7 +51,7 @@ class NumericalError(RuntimeError):
     """Non-finite intermediate or overflow during an experiment."""
 
 
-EXPERIMENT_KINDS = ("sig", "functional", "ode", "sde", "levy", "moments")
+EXPERIMENT_KINDS = ("functional", "ode", "sde", "levy", "moments")
 FUNCTIONAL_TARGETS = ("terminal-square", "integral", "running-max", "exp-terminal")
 VECTOR_FIELDS = ("zero-drift-identity", "linear", "tanh-bounded")
 LEVY_TARGETS = ("levy-area", "time-coordinate", "first-coordinate")
@@ -183,7 +183,8 @@ class ExperimentConfig:
         if merged.get("out") is not None and not isinstance(merged["out"], str):
             raise ConfigError(f"out must be a path string, got {merged['out']!r}")
         if "n_max" not in merged and kind in ("functional", "ode", "moments"):
-            merged["n_max"] = max(merged["depths"])
+            # empty depths fall through to validate's non-empty check
+            merged["n_max"] = max(merged["depths"], default=0)
         cfg = cls(kind=kind, **merged)
         cfg.validate()
         return cfg
@@ -192,8 +193,6 @@ class ExperimentConfig:
         c = self
         if c.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {c.kind!r}")
-        if c.kind == "sig":
-            return
         if not isinstance(c.seed, int) or not 0 <= c.seed < 2**64:
             raise ConfigError("seed must be an integer in [0, 2**64)")
         if c.d < 1 or c.T <= 0:
@@ -331,9 +330,7 @@ def run_regression(cfg: ExperimentConfig):
         )
         if not np.isfinite(y).all():
             raise NumericalError(f"non-finite value in {cfg.kind} targets")
-        feats = features_from_values(
-            times, time_extend_values(times, values), max(cfg.levels), mode
-        )
+        feats = features_from_values(times, values, max(cfg.levels), mode)
         for level in cfg.levels:
             report = fit(
                 feats.truncated(level), y, lam=cfg.lam, p=cfg.p, split_seed=cfg.seed
@@ -391,7 +388,7 @@ def run_levy(cfg: ExperimentConfig):
         for dep in depths:
             stride = 2 ** (cfg.n_max - dep)
             coarse = _upsample_dyadic(fine[:, ::stride, :], eval_depth - dep)
-            vals = functional.apply_stream(time_extend_values(eval_times, coarse))
+            vals = functional.apply_stream(eval_times, coarse)
             delta = vals - ref_vals
             acc[dep] += float(np.sum(weights * np.abs(delta) ** cfg.p))
     distances = {
@@ -542,8 +539,6 @@ _RUNNERS = {
 
 def run_config(cfg: ExperimentConfig, out: str | None = None, append: bool = False):
     """Run one experiment config and persist results; returns (csv_path, rows)."""
-    if cfg.kind not in _RUNNERS:
-        raise ConfigError(f"kind {cfg.kind!r} is not runnable via run_config")
     csv_path = out or cfg.out or f"{cfg.kind}-results.csv"
     if os.path.isdir(csv_path):
         raise ConfigError(f"results path {csv_path} is a directory")

@@ -52,7 +52,6 @@ class FeatureMatrix:
     dim: int
     level: int
     sample_ids: np.ndarray
-    eval_times: np.ndarray | None = None
     time_weights: np.ndarray | None = None
 
     def __post_init__(self):
@@ -84,7 +83,6 @@ class FeatureMatrix:
             self.dim,
             level,
             self.sample_ids,
-            self.eval_times,
             self.time_weights,
         )
 
@@ -98,38 +96,36 @@ def features_from_values(
 ) -> FeatureMatrix:
     """Build features for a batch of paths sharing one partition.
 
-    values : (B, K, m) absolute breakpoint values (time-extended for the
-    usual letter-0 = time convention).
+    values : (B, K, d) absolute breakpoint values; the features are the
+    signature coordinates of the time-extended paths (dim d + 1, letter 0
+    is time).
     """
     values = np.asarray(values, dtype=float)
     times = np.asarray(times, dtype=float)
-    n_paths, n_pts, m = values.shape
+    n_paths, n_pts, d = values.shape
     if mode == "terminal":
-        table = stream_table(values, level, eval_idx=[n_pts - 1])
-        return FeatureMatrix(
-            table[:, 0, :], m, level, np.arange(n_paths)
-        )
+        table = stream_table(times, values, level, eval_idx=[n_pts - 1])
+        return FeatureMatrix(table[:, 0, :], d + 1, level, np.arange(n_paths))
     if mode == "stopped":
         if eval_idx is None:
             eval_idx = np.arange(n_pts)
         eval_idx = np.asarray(eval_idx, dtype=int)
-        table = stream_table(values, level, eval_idx=eval_idx)
-        eval_times = times[eval_idx]
-        weights = trapezoid_weights(eval_times)
+        table = stream_table(times, values, level, eval_idx=eval_idx)
+        weights = trapezoid_weights(times[eval_idx])
         rows = table.reshape(n_paths * eval_idx.size, -1)
         return FeatureMatrix(
             rows,
-            m,
+            d + 1,
             level,
             np.repeat(np.arange(n_paths), eval_idx.size),
-            np.tile(eval_times, n_paths),
             np.tile(weights, n_paths),
         )
     raise ValueError(f"unknown mode {mode!r}")
 
 
 def build_features(paths, level: int, mode: str = "terminal", eval_times=None) -> FeatureMatrix:
-    """features_from_values on a list of paths sharing one partition.
+    """features_from_values on a list of paths sharing one partition (their
+    own coordinates; time is added as letter 0).
 
     In stopped mode rows are taken at the breakpoints nearest eval_times
     (exact when the eval times are partition points).

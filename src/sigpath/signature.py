@@ -64,8 +64,18 @@ def segment_signature(increment, level: int) -> GroupLikeTensor:
 def signature(path: PiecewiseLinearPath, level: int) -> GroupLikeTensor:
     """Signature of the whole path on [0, T], truncated at `level`: the
     last row of its stream table."""
-    row = stream_table(path.values, level, eval_idx=[path.n_segments])[0]
+    words = _own_words(path.dim, level)
+    row = word_streams(path.times, path.values, words, [path.n_segments])[0]
     return _tensor_from_row(row, path.dim, level)
+
+
+@lru_cache(maxsize=16)
+def _own_words(dim: int, level: int) -> tuple:
+    """all_words(dim, level) relabelled l -> l + 1: a path's own coordinates
+    as word_streams letters, without the time letter 0."""
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    return tuple(tuple(l + 1 for l in w) for w in all_words(dim, level))
 
 
 def _tensor_from_row(row: np.ndarray, dim: int, level: int) -> TruncatedTensor:
@@ -87,21 +97,17 @@ def _check_eval_idx(eval_idx, n_pts: int) -> np.ndarray:
     return eval_idx
 
 
-def stream_table(values: np.ndarray, level: int, eval_idx=None) -> np.ndarray:
-    """Signature stream of the piecewise linear path through `values`.
-
-    values : (..., K, m) absolute breakpoint values, arbitrary batch prefix.
-    eval_idx : increasing breakpoint indices at which rows are kept
-        (default: all K breakpoints).
-
-    Returns (..., len(eval_idx), D) with the D = total_entries(m, level)
-    coefficients flattened level-major: word_streams over every word of
-    length <= level; only the requested rows are stored.
+def stream_table(times: np.ndarray, values: np.ndarray, level: int, eval_idx=None) -> np.ndarray:
+    """Signature stream of the time-extended path(s) through `values`
+    (..., K, d) on `times` (K,), at the breakpoints eval_idx (default: all):
+    (..., len(eval_idx), D) with the D = total_entries(d + 1, level)
+    coefficients flattened level-major, i.e. word_streams over every word
+    of length <= level; only the requested rows are stored.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
-    values = np.asarray(values, dtype=float)
-    return word_streams(values, all_words(values.shape[-1], level), eval_idx)
+    words = all_words(np.shape(values)[-1] + 1, level)
+    return word_streams(times, values, words, eval_idx)
 
 
 # Paths per block and segments per chunk in word_streams: the per-word
@@ -111,11 +117,13 @@ _WORD_BLOCK = 32
 _SEGMENT_CHUNK = 4096
 
 
-def word_streams(values: np.ndarray, words, eval_idx=None) -> np.ndarray:
-    """Stream coordinates of selected words.
+def word_streams(times: np.ndarray, values: np.ndarray, words, eval_idx=None) -> np.ndarray:
+    """Stream coordinates of selected words of the time-extended path.
 
-    values : (..., K, m) absolute breakpoint values, arbitrary batch prefix.
-    words : words over the alphabet 0..m-1, in any order and of any length.
+    times : (K,) partition shared by the batch.
+    values : (..., K, d) absolute breakpoint values, arbitrary batch prefix.
+    words : words over the alphabet 0..d, in any order and of any length;
+        letter 0 is time, letter l >= 1 is value column l - 1.
     eval_idx : increasing breakpoint indices (default: all K breakpoints).
 
     Returns (..., len(eval_idx), len(words)).  Only the prefixes of the
@@ -125,20 +133,23 @@ def word_streams(values: np.ndarray, words, eval_idx=None) -> np.ndarray:
     and E^u = ((x_{u1}/1) x_{u2}/2) ... the segment-exponential coordinates,
     summed in the order of the Chen product (tensor.mul_blocks) and
     segment_exp_blocks, so every coordinate has the bits of the dense
-    per-breakpoint Chen loop.
+    per-breakpoint Chen loop on the time-extended values.
     """
+    times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    n_pts, m = values.shape[-2], values.shape[-1]
+    n_pts, d = values.shape[-2], values.shape[-1]
+    if times.shape != (n_pts,):
+        raise ValueError(f"times must have shape ({n_pts},), got {times.shape}")
     batch = values.shape[:-2]
     eval_idx = _check_eval_idx(eval_idx, n_pts)
     words = tuple(map(tuple, words))
-    plan = _word_plan(words, m)
-    flat = values.reshape((-1, n_pts, m))
+    plan = _word_plan(words, d + 1)
+    flat = values.reshape((-1, n_pts, d))
     # zeros: a kept first breakpoint is the unit tensor, 0 off the empty word
     out = np.zeros((flat.shape[0], eval_idx.size, len(words)))
     for start in range(0, flat.shape[0], _WORD_BLOCK):
         stop = start + _WORD_BLOCK
-        _block_word_streams(flat[start:stop], plan, eval_idx, out[start:stop])
+        _block_word_streams(times, flat[start:stop], plan, eval_idx, out[start:stop])
     return out.reshape(batch + out.shape[1:])
 
 
@@ -171,8 +182,8 @@ def _word_plan(words, m):
     return steps[::-1], columns
 
 
-def _block_word_streams(values, plan, eval_idx, out):
-    """word_streams of one (b, K, m) block of paths, written into `out`, in
+def _block_word_streams(times, values, plan, eval_idx, out):
+    """word_streams of one (b, K, d) block of paths, written into `out`, in
     chunks of _SEGMENT_CHUNK segments: each stream starts a chunk from its
     last value in the chunk before, and its prefix sum is sequential, so the
     bits do not depend on the chunking."""
@@ -185,7 +196,9 @@ def _block_word_streams(values, plan, eval_idx, out):
         # kept breakpoints s0 < k <= s1 sit at column k - s0 of a chunk stream
         rows = slice(*np.searchsorted(eval_idx, [s0 + 1, s1 + 1]))
         local = eval_idx[rows] - s0
-        dx = np.moveaxis(np.diff(values[:, s0 : s1 + 1], axis=1), -1, 0).copy()
+        # letter 0 steps by the time gaps, one row broadcast over the block
+        gaps = np.moveaxis(np.diff(values[:, s0 : s1 + 1], axis=1), -1, 0).copy()
+        dx = [np.diff(times[s0 : s1 + 1]), *gaps]
         cache = {}
         for word, kind, drops, keep in steps:
             n = len(word)
@@ -231,7 +244,7 @@ class SignatureStream:
 
 
 def signature_stream(path: PiecewiseLinearPath, level: int) -> SignatureStream:
-    table = stream_table(path.values, level)
+    table = word_streams(path.times, path.values, _own_words(path.dim, level))
     return SignatureStream(path.times.copy(), path.dim, level, table)
 
 
@@ -273,19 +286,20 @@ class LinearFunctional:
             vec[total_entries(self.dim, n - 1) + off] = value
         return vec
 
-    def apply_stream(self, values: np.ndarray, eval_idx=None) -> np.ndarray:
-        """The functional along the signature stream of the piecewise
-        linear path(s) through `values` (..., K, dim), at the breakpoints
-        eval_idx (default: all); returns a C-contiguous (..., len(eval_idx)).
+    def apply_stream(self, times: np.ndarray, values: np.ndarray, eval_idx=None) -> np.ndarray:
+        """The functional along the signature stream of the time-extended
+        piecewise linear path(s) through `values` (..., K, dim - 1) on
+        `times` (K,), letter 0 being time, at the breakpoints eval_idx
+        (default: all); returns a C-contiguous (..., len(eval_idx)).
 
         Only the functional's words are streamed (word_streams), in blocks
         of paths; the terms are summed in level-major word order.
         """
         values = np.asarray(values, dtype=float)
-        if values.shape[-1] != self.dim:
-            raise ValueError(f"dim mismatch: {values.shape[-1]} vs {self.dim}")
+        if values.shape[-1] + 1 != self.dim:
+            raise ValueError(f"dim mismatch: time + {values.shape[-1]} vs {self.dim}")
         words = sorted(self.coeffs, key=lambda w: (len(w), w))
-        streams = word_streams(values, words, eval_idx)
+        streams = word_streams(times, values, words, eval_idx)
         out = np.zeros(streams.shape[:-1])
         for i, word in enumerate(words):
             out += self.coeffs[word] * streams[..., i]

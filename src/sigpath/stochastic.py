@@ -21,7 +21,6 @@ from .paths import (
     PiecewiseLinearPath,
     dyadic_times,
     nearest_breakpoints,
-    time_extend_values,
 )
 from .signature import LinearFunctional
 
@@ -348,15 +347,10 @@ def stratonovich_reference(
     the underlying Brownian signature.
     """
     times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
     eval_times = np.asarray(eval_times, dtype=float)
     if (eval_times < times[0]).any() or (eval_times > times[-1]).any():
         raise ValueError(f"eval times outside [{times[0]}, {times[-1]}]")
-    if functional.dim != values.shape[-1] + 1:
-        raise ValueError("functional must act on the time-extended alphabet")
     idx = nearest_breakpoints(times, eval_times).ravel()
     unique_idx, inverse = np.unique(idx, return_inverse=True)
-    out = functional.apply_stream(
-        time_extend_values(times, values), eval_idx=unique_idx
-    )
+    out = functional.apply_stream(times, values, eval_idx=unique_idx)
     return out[..., inverse].reshape(out.shape[:-1] + eval_times.shape)

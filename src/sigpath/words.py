@@ -1,7 +1,6 @@
 """Multi-index words over the alphabet {0, ..., dim-1} and the shuffle product.
 
-Words are plain tuples of integers.  For time-extended paths the alphabet has
-dim = d + 1 letters and letter 0 addresses the time coordinate.
+Words are plain tuples of integers.
 """
 
 from __future__ import annotations

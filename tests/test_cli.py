@@ -131,6 +131,7 @@ def test_config_errors_exit_2(tmp_path):
         {"kind": "sde", "depths": [8], "n_max": 10},  # depth gap < 4
         {"kind": "levy", "d": 1},
         {"kind": "mystery"},
+        {"kind": "sig"},  # not an experiment kind; `sigpath sig` prints one
     ]
     for i, payload in enumerate(bad):
         cfg = write_config(tmp_path, f"bad{i}.json", payload)
@@ -149,10 +150,15 @@ def test_config_errors_exit_2(tmp_path):
         (small_functional_config(depths=[2.7]), []),
         (small_functional_config(T=float("nan")), []),
         (small_functional_config(T=None), []),
+        # no n_max: it is derived from the depths, which must not crash
+        ({"kind": "functional", "depths": []}, []),
+        ({"kind": "ode", "depths": []}, []),
+        ({"kind": "moments", "depths": []}, []),
     ],
     ids=["float-n_samples", "string-p", "string-lam", "json-list",
          "json-list-seed-override", "bool-seed", "fractional-depth", "nan-T",
-         "null-T"],
+         "null-T", "empty-depths-functional", "empty-depths-ode",
+         "empty-depths-moments"],
 )
 def test_mistyped_config_exits_2(tmp_path, payload, extra):
     cfg = write_config(tmp_path, "bad.json", payload)
@@ -199,7 +205,7 @@ def test_bad_out_exits_2_before_the_run(tmp_path, monkeypatch, case):
 
 
 # Tiny valid values per config key: no config drawn here asks for more than
-# 40 paths on a 2^10 lattice.
+# 40 paths on a 2^14 lattice (levy's default n_max).
 CONFIG_FIELDS = {
     "seed": st.integers(0, 2**64 - 1),
     "d": st.integers(1, 2),
@@ -232,7 +238,9 @@ BAD_VALUES = st.sampled_from(
 def run_configs(draw):
     payload = {"kind": draw(st.sampled_from(EXPERIMENT_KINDS))}
     optional = draw(st.lists(st.sampled_from(sorted(CONFIG_FIELDS)), max_size=5))
-    for key in ["n_samples", "depths", "n_max", *optional]:
+    # n_max is sometimes left out: most kinds derive it from the depths
+    keys = ["n_samples", "depths"] + (["n_max"] if draw(st.booleans()) else [])
+    for key in keys + optional:
         payload[key] = draw(CONFIG_FIELDS[key])
     for key in draw(st.lists(st.sampled_from(sorted(payload)), max_size=2)):
         payload[key] = draw(BAD_VALUES)

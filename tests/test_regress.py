@@ -12,33 +12,30 @@ from sigpath.words import all_words
 def brownian_features(seed, n, depth, level, mode="terminal"):
     times = dyadic_times(1.0, depth)
     values = sample_brownian_batch(seed, np.arange(n), 1, 1.0, depth)
-    hat = np.concatenate(
-        [np.broadcast_to(times, (n, times.size))[..., None], values], axis=-1
-    )
-    return rg.features_from_values(times, hat, level, mode)
+    return rg.features_from_values(times, values, level, mode)
 
 
 def test_terminal_features_of_single_line():
-    hat = time_extend(PiecewiseLinearPath([0.0, 2.0], [[0.0], [3.0]]))
-    feats = rg.build_features([hat], 1, mode="terminal")
+    line = PiecewiseLinearPath([0.0, 2.0], [[0.0], [3.0]])
+    feats = rg.build_features([line], 1, mode="terminal")
     assert np.allclose(feats.matrix, [[1.0, 2.0, 3.0]])
     assert feats.words == [(), (0,), (1,)]
 
 
 def test_stopped_time_columns():
-    hat = time_extend(PiecewiseLinearPath([0, 0.25, 0.5, 1.0], [[0.0]] * 4))
-    feats = rg.build_features([hat], 2, mode="stopped")
+    const = PiecewiseLinearPath([0, 0.25, 0.5, 1.0], [[0.0]] * 4)
+    feats = rg.build_features([const], 2, mode="stopped")
     words = feats.words
     t_col = feats.matrix[:, words.index((0,))]
     tt_col = feats.matrix[:, words.index((0, 0))]
-    assert np.allclose(t_col, hat.times, atol=1e-12)
-    assert np.allclose(tt_col, hat.times**2 / 2.0, atol=1e-12)
-    assert np.allclose(np.sum(feats.time_weights), hat.T)
+    assert np.allclose(t_col, const.times, atol=1e-12)
+    assert np.allclose(tt_col, const.times**2 / 2.0, atol=1e-12)
+    assert np.allclose(np.sum(feats.time_weights), const.T)
 
 
 def test_stopped_eval_times_snap_to_breakpoints():
-    hat = time_extend(PiecewiseLinearPath([0, 0.25, 0.5, 1.0], [[0.0]] * 4))
-    feats = rg.build_features([hat], 1, mode="stopped", eval_times=[0.26, 0.9])
+    const = PiecewiseLinearPath([0, 0.25, 0.5, 1.0], [[0.0]] * 4)
+    feats = rg.build_features([const], 1, mode="stopped", eval_times=[0.26, 0.9])
     t_col = feats.matrix[:, 1]
     assert np.allclose(t_col, [0.25, 1.0])
 
@@ -168,8 +165,8 @@ def test_lp_error_exact_functional_is_zero():
 
 
 def test_build_features_requires_common_partition():
-    a = time_extend(PiecewiseLinearPath([0, 1], [[0.0], [1.0]]))
-    b = time_extend(PiecewiseLinearPath([0, 0.5, 1], [[0.0], [1.0], [2.0]]))
+    a = PiecewiseLinearPath([0, 1], [[0.0], [1.0]])
+    b = PiecewiseLinearPath([0, 0.5, 1], [[0.0], [1.0], [2.0]])
     with pytest.raises(ValueError):
         rg.build_features([a, b], 2)
 
@@ -187,10 +184,12 @@ def test_build_features_equals_features_from_values():
     for mode, eval_times, eval_idx in cases:
         built = rg.build_features(paths, 3, mode, eval_times)
         direct = rg.features_from_values(times, values, 3, mode, eval_idx)
-        for field in ("matrix", "sample_ids", "eval_times", "time_weights"):
+        for field in ("matrix", "sample_ids", "time_weights"):
             assert np.array_equal(
                 getattr(built, field), getattr(direct, field)
             ), (mode, eval_times, field)
-    # and the batched rows are the single-path signatures, bit for bit
+    # and the batched rows are the time-extended single-path signatures,
+    # bit for bit
     terminal = rg.build_features(paths, 3, "terminal").matrix
-    assert np.array_equal(terminal, np.stack([signature(p, 3).flat() for p in paths]))
+    singles = [signature(time_extend(p), 3).flat() for p in paths]
+    assert np.array_equal(terminal, np.stack(singles))

@@ -1,4 +1,3 @@
-import importlib
 import math
 import tracemalloc
 
@@ -7,9 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sigpath.signature as sg
 import sigpath.tensor as tn
 import sigpath.words as wd
-from sigpath.paths import PiecewiseLinearPath, insert_breakpoint, time_extend
+from sigpath.paths import (
+    PiecewiseLinearPath,
+    insert_breakpoint,
+    time_extend,
+    time_extend_values,
+)
 from sigpath.signature import (
     LinearFunctional,
     levy_area_functional,
@@ -26,9 +31,6 @@ from helpers_oracle import (
     iterated_integral_riemann,
     random_pl_path,
 )
-
-# the package re-exports the function `signature`, which shadows the module
-sg = importlib.import_module("sigpath.signature")
 
 
 def scaled(path, lam):
@@ -227,28 +229,36 @@ def test_levy_area_of_axis_path():
     assert area == pytest.approx(0.5, abs=1e-14)
 
 
+def random_times(rng, n_pts):
+    """A strictly increasing partition with uneven gaps."""
+    return rng.uniform(0.1, 1.0, n_pts).cumsum()
+
+
 @st.composite
 def word_stream_cases(draw):
-    dim = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 3))
     level = draw(st.integers(1, 4))
     batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
     n_pts = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    values = rng.normal(size=batch + (n_pts, dim)).cumsum(axis=-2)
+    times = random_times(rng, n_pts)
+    values = rng.normal(size=batch + (n_pts, d)).cumsum(axis=-2)
     eval_idx = sorted(draw(st.sets(st.integers(0, n_pts - 1))))
-    words = wd.all_words(dim, level)
+    words = wd.all_words(d + 1, level)
     picks = draw(st.lists(st.integers(0, len(words) - 1), max_size=6))
-    return values, level, eval_idx, [words[i] for i in picks]
+    return times, values, level, eval_idx, [words[i] for i in picks]
 
 
 @settings(deadline=None, max_examples=150)
 @given(word_stream_cases())
 def test_word_streams_equal_dense_columns(case):
-    # arbitrary (not prefix-closed, possibly repeated) word sets
-    values, level, eval_idx, words = case
-    dense = chen_stream_oracle(values, level, eval_idx=eval_idx)
-    columns = [wd.all_words(values.shape[-1], level).index(w) for w in words]
-    sparse = word_streams(values, words, eval_idx=eval_idx)
+    # arbitrary (not prefix-closed, possibly repeated) word sets; letter 0
+    # reads the partition as the time-extended copy's first column
+    times, values, level, eval_idx, words = case
+    hat = time_extend_values(times, values)
+    dense = chen_stream_oracle(hat, level, eval_idx=eval_idx)
+    columns = [wd.all_words(hat.shape[-1], level).index(w) for w in words]
+    sparse = word_streams(times, values, words, eval_idx=eval_idx)
     assert sparse.shape == dense[..., columns].shape
     assert np.array_equal(sparse, dense[..., columns])
 
@@ -258,14 +268,17 @@ def test_apply_stream_matches_dense_levy_targets(target):
     # more paths than one word_streams block, on a strided eval grid
     functional = _levy_functional(target)
     rng = np.random.default_rng(11)
-    values = rng.normal(size=(70, 129, 3)).cumsum(axis=1)
+    times = random_times(rng, 129)
+    values = rng.normal(size=(70, 129, 2)).cumsum(axis=1)
     eval_idx = np.arange(0, 129, 4)
-    got = functional.apply_stream(values, eval_idx=eval_idx)
-    dense = chen_stream_oracle(values, functional.level, eval_idx=eval_idx)
+    got = functional.apply_stream(times, values, eval_idx=eval_idx)
+    dense = chen_stream_oracle(
+        time_extend_values(times, values), functional.level, eval_idx=eval_idx
+    )
     assert np.array_equal(got, dense @ functional.coefficient_vector())
     assert got.flags.c_contiguous
     with pytest.raises(ValueError):
-        functional.apply_stream(values[..., :2])
+        functional.apply_stream(times, values[..., :1])
 
 
 def bits(a):
@@ -274,7 +287,7 @@ def bits(a):
 
 @st.composite
 def stream_table_cases(draw):
-    dim = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 3))
     level = draw(st.integers(0, 4))
     batch = draw(
         st.one_of(
@@ -285,19 +298,21 @@ def stream_table_cases(draw):
     )
     n_pts = draw(st.integers(1, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    values = rng.normal(size=batch + (n_pts, dim)).cumsum(axis=-2)
+    times = random_times(rng, n_pts)
+    values = rng.normal(size=batch + (n_pts, d)).cumsum(axis=-2)
     eval_idx = draw(
         st.one_of(st.none(), st.sets(st.integers(0, n_pts - 1)).map(sorted))
     )
-    return values, level, eval_idx
+    return times, values, level, eval_idx
 
 
 @settings(deadline=None, max_examples=150)
 @given(stream_table_cases())
 def test_stream_table_equals_chen_oracle_bitwise(case):
-    values, level, eval_idx = case
-    got = stream_table(values, level, eval_idx=eval_idx)
-    want = chen_stream_oracle(values, level, eval_idx=eval_idx)
+    times, values, level, eval_idx = case
+    got = stream_table(times, values, level, eval_idx=eval_idx)
+    hat = time_extend_values(times, values)
+    want = chen_stream_oracle(hat, level, eval_idx=eval_idx)
     assert got.shape == want.shape
     assert np.array_equal(bits(got), bits(want))
 
@@ -310,20 +325,23 @@ def test_stream_table_independent_of_blocking(monkeypatch):
     rng = np.random.default_rng(12)
     for chunk in (1, 7, default_chunk):
         for n_seg in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
-            values = rng.normal(size=(default_block + 1, n_seg + 1, 2)).cumsum(axis=1)
-            want = bits(chen_stream_oracle(values, 3))
+            times = random_times(rng, n_seg + 1)
+            values = rng.normal(size=(default_block + 1, n_seg + 1, 1)).cumsum(axis=1)
+            want = bits(chen_stream_oracle(time_extend_values(times, values), 3))
             for block in (1, 7, default_block):
                 monkeypatch.setattr(sg, "_SEGMENT_CHUNK", chunk)
                 monkeypatch.setattr(sg, "_WORD_BLOCK", block)
-                assert np.array_equal(bits(stream_table(values, 3)), want)
+                assert np.array_equal(bits(stream_table(times, values, 3)), want)
 
 
 def test_stream_table_memory_is_bounded_by_block_and_chunk():
-    values = np.random.default_rng(13).normal(size=(10, 65537, 2)).cumsum(axis=1)
-    stream_table(values[:, :3], 4)  # warm up outside the trace
+    rng = np.random.default_rng(13)
+    times = random_times(rng, 65537)
+    values = rng.normal(size=(10, 65537, 1)).cumsum(axis=1)
+    stream_table(times[:3], values[:, :3], 4)  # warm up outside the trace
     tracemalloc.start()
     try:
-        row = stream_table(values, 4, eval_idx=[65536])
+        row = stream_table(times, values, 4, eval_idx=[65536])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -334,4 +352,16 @@ def test_stream_table_memory_is_bounded_by_block_and_chunk():
 
 def test_stream_table_rejects_negative_level():
     with pytest.raises(ValueError, match="level"):
-        stream_table(np.zeros((3, 2)), -1)
+        stream_table(np.arange(3.0), np.zeros((3, 1)), -1)
+
+
+def test_kernels_reject_times_of_the_wrong_shape():
+    values = np.zeros((4, 3, 2))
+    area = levy_area_functional()
+    for times in (np.arange(2.0), np.arange(4.0), np.zeros((1, 3)), 0.5):
+        with pytest.raises(ValueError, match="times"):
+            stream_table(times, values, 2)
+        with pytest.raises(ValueError, match="times"):
+            word_streams(times, values, [(0,), (1, 2)])
+        with pytest.raises(ValueError, match="times"):
+            area.apply_stream(times, values)

@@ -8,7 +8,6 @@ from sigpath.paths import (
     PiecewiseLinearPath,
     dyadic_times,
     time_extend,
-    time_extend_values,
 )
 from sigpath.signature import LinearFunctional, levy_area_functional
 
@@ -229,6 +228,24 @@ def test_reference_at_dyadic_times_reads_the_strided_breakpoints():
         fine_times = dyadic_times(T, 9)
         fine = sto.sample_brownian_batch(3, np.arange(4), 2, T, 9)
         ref = sto.stratonovich_reference(fine_times, fine, area, dyadic_times(T, 5))
-        hat = time_extend_values(fine_times, fine)
-        strided = area.apply_stream(hat, eval_idx=np.arange(2**5 + 1) * 2**4)
+        strided = area.apply_stream(
+            fine_times, fine, eval_idx=np.arange(2**5 + 1) * 2**4
+        )
         assert np.array_equal(ref, strided)
+
+
+def test_reference_peak_memory_is_below_one_time_extended_copy():
+    # the levy reference on 64 paths of 2^14 segments; a (64, 16385, 3)
+    # time-extended copy of the lattice alone would take 24 MiB
+    fine_times = dyadic_times(1.0, 14)
+    fine = sto.sample_brownian_batch(2, np.arange(64), 2, 1.0, 14)
+    area, eval_times = levy_area_functional(), dyadic_times(1.0, 11)
+    sto.stratonovich_reference(fine_times[:3], fine[:2, :3], area, [0.0])  # warm up
+    tracemalloc.start()
+    try:
+        ref = sto.stratonovich_reference(fine_times, fine, area, eval_times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ref.shape == (64, eval_times.size)
+    assert peak < 64 * fine_times.size * 3 * 8
