@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .experiments import ConfigError, ExperimentConfig, NumericalError, run_config
 from .paths import PathFormatError, read_path_csv, time_extend
 from .signature import signature
@@ -79,7 +81,7 @@ def main(argv=None) -> int:
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (NumericalError, FloatingPointError) as err:
+    except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
 

@@ -528,6 +528,21 @@ def _reports_path(csv_path: str) -> str:
     return base + ".functionals.json"
 
 
+def _existing_reports(path: str) -> dict:
+    """The fitted functionals already stored at `path` ({} if none), which
+    an appending run extends."""
+    if not os.path.exists(path):
+        return {}
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            existing = json.load(fh)
+        except json.JSONDecodeError:
+            existing = None
+    if not isinstance(existing, dict):
+        raise ConfigError(f"refusing to append: {path} is not a JSON object")
+    return existing
+
+
 _RUNNERS = {
     "functional": run_regression,
     "ode": run_regression,
@@ -545,9 +560,13 @@ def run_config(cfg: ExperimentConfig, out: str | None = None, append: bool = Fal
     if not os.path.isdir(os.path.dirname(csv_path) or "."):
         raise ConfigError(f"directory of results path {csv_path} does not exist")
     columns, rows, reports = _RUNNERS[cfg.kind](cfg)
+    reports_path = _reports_path(csv_path)
+    if reports and append:
+        # a repeated key takes this run's report
+        reports = {**_existing_reports(reports_path), **reports}
     write_rows(csv_path, columns, rows, append=append)
     if reports:
-        with open(_reports_path(csv_path), "w", encoding="utf-8") as fh:
+        with open(reports_path, "w", encoding="utf-8") as fh:
             json.dump(reports, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return csv_path, rows

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .paths import nearest_breakpoints
 from .signature import LinearFunctional, stream_table
@@ -212,6 +211,12 @@ def fit(
     """Ridge (lam > 0) or minimum-norm least squares (lam = 0) on an 80/20
     sample split.
 
+    Ridge solves the regularized normal equations by Cholesky
+    (`scipy.linalg.solve(..., assume_a="pos")`; scipy is imported on this
+    branch only). Minimum-norm fits run LAPACK `gelsd` through
+    `np.linalg.lstsq` with the singular-value cutoff rcond = 1e-10, so a
+    run with lam = 0 never loads scipy's second BLAS runtime.
+
     lam = None selects the scale-aware default 1e-8 * trace(X'X) / n_cols;
     the split shuffles sample indices with a seeded generator so reruns are
     bit-identical.
@@ -241,13 +246,15 @@ def fit(
 
     rank_deficient = False
     if lam > 0.0:
+        import scipy.linalg
+
         beta = scipy.linalg.solve(
             gram + lam * np.eye(n_cols), xty, assume_a="pos"
         )
     else:
         # drop directions collinear to within the precision of the feature
         # computation itself; keeping them blows up the minimum-norm solution
-        beta, _, rank, _ = scipy.linalg.lstsq(X_tr, y_tr, cond=1e-10)
+        beta, _, rank, _ = np.linalg.lstsq(X_tr, y_tr, rcond=1e-10)
         rank_deficient = rank < n_cols
 
     residual = float(

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own kernels: iterated integrals are
 done by cumulative Riemann-Stieltjes sums on a dense grid, signature streams
 by one dense Chen product per breakpoint, Hoelder norms by explicit pairwise
-maxima or a plain lag loop, shuffles by enumerating interleavings, and
-products of one-dimensional tensors by series convolution.
+maxima or a plain lag loop, shuffles by enumerating interleavings,
+products of one-dimensional tensors by series convolution, and minimum-norm
+least squares by scipy's own LAPACK binding.
 """
 
 import itertools
@@ -86,6 +87,17 @@ def lag_scan_oracle(times, values, alpha):
         ratio = np.sqrt(np.sum(dv * dv, axis=-1)) / dt**alpha
         best = np.maximum(best, ratio.max(axis=-1))
     return best
+
+
+def lstsq_oracle(X_tr, y_tr):
+    """(beta, rank) of the minimum-norm least-squares fit through scipy's
+    `gelsd` binding with singular values below 1e-10 times the largest
+    dropped: the solve `regress.fit` ran at lam = 0 before it moved to
+    `np.linalg.lstsq`, whose bits it must keep."""
+    import scipy.linalg
+
+    beta, _, rank, _ = scipy.linalg.lstsq(X_tr, y_tr, cond=1e-10)
+    return beta, int(rank)
 
 
 def series_product_1d(a, b):

@@ -1,5 +1,9 @@
+import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -23,7 +27,8 @@ from sigpath.experiments import (
 )
 
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
 
 
 def write_config(tmp_path, name, payload):
@@ -122,6 +127,67 @@ def test_append_extends_matching_schema(tmp_path):
     assert len(out.read_text().splitlines()) == 2 * n_lines - 1
 
 
+def test_append_merges_fitted_functionals(tmp_path):
+    def run(out, append, **overrides):
+        cfg = write_config(tmp_path, "exp.json", small_functional_config(**overrides))
+        argv = ["run", "--config", cfg, "--out", str(tmp_path / out)]
+        assert main(argv + ["--append"] * append) == 0
+        return json.loads((tmp_path / out).with_suffix(".functionals.json").read_text())
+
+    first = run("res.csv", False)
+    integral = run("res.csv", True, target="integral", seed=2)
+    assert set(integral) == set(first) | {
+        f"integral/depth=4/level={level}" for level in (1, 2)
+    }
+    assert all(integral[key] == first[key] for key in first)
+    # a repeated key takes the latest run's report
+    merged = run("res.csv", True, seed=3)
+    alone = run("alone.csv", False, seed=3)
+    assert set(merged) == set(integral) and alone != first
+    assert all(merged[key] == alone[key] for key in alone)
+    assert all(merged[key] == integral[key] for key in set(integral) - set(alone))
+
+
+@pytest.mark.parametrize("stored", ["[1, 2]\n", "not json\n"], ids=["list", "not-json"])
+def test_append_onto_a_non_object_functionals_file_exits_2(tmp_path, stored):
+    cfg = write_config(tmp_path, "exp.json", small_functional_config())
+    out, side = tmp_path / "res.csv", tmp_path / "res.functionals.json"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    csv_bytes = out.read_bytes()
+    side.write_text(stored)
+    assert main(["run", "--config", cfg, "--out", str(out), "--append"]) == 2
+    assert out.read_bytes() == csv_bytes and side.read_text() == stored
+
+
+def _run_script(name, out, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), "--out", str(out), *args],
+        check=True, env=env, capture_output=True, timeout=300,
+    )
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    reports = json.loads(out.with_suffix(".functionals.json").read_text())
+    return rows, reports
+
+
+def test_sweep_scripts_keep_every_fitted_functional(tmp_path):
+    rows, reports = _run_script(
+        "functional_targets.py", tmp_path / "functional.csv",
+        "--samples", "20", "--depth", "3",
+    )
+    keys = {f"{r['target']}/depth={r['depth']}/level={r['level']}" for r in rows}
+    assert len(rows) == 16 and set(reports) == keys
+    assert {key.split("/")[0] for key in keys} == {
+        "terminal-square", "integral", "running-max", "exp-terminal"
+    }
+
+    rows, reports = _run_script("ode_sde_targets.py", tmp_path / "odesde.csv", "--samples", "20")
+    keys = {f"{r['target']}/depth={r['depth']}/level={r['level']}" for r in rows}
+    assert len(rows) == 20 and set(reports) == keys
+    assert {key.split("/")[0] for key in keys} == {"linear", "tanh-bounded", "gbm"}
+
+
 def test_config_errors_exit_2(tmp_path):
     bad = [
         small_functional_config(target="no-such-target"),
@@ -218,7 +284,7 @@ CONFIG_FIELDS = {
     "beta": st.sampled_from([0.01, 0.05, 500.0]),
     "gamma": st.sampled_from([1, 2.0]),
     "m": st.integers(1, 4),
-    "lam": st.sampled_from([None, 0.0, 1e-3]),
+    "lam": st.sampled_from([None, 0.0, 1e-3, 1e-300]),
     "target": st.sampled_from(FUNCTIONAL_TARGETS + LEVY_TARGETS),
     "field": st.sampled_from(VECTOR_FIELDS),
     "a": st.sampled_from([-0.5, 0.0, 0.5]),
@@ -296,6 +362,57 @@ def test_moments_overflow_aborts(tmp_path):
         {"kind": "moments", "seed": 1, "n_samples": 20, "depths": [4], "beta": 500.0},
     )
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "m.csv")]) == 3
+
+
+def test_singular_ridge_solve_exits_3(tmp_path):
+    # lam = 1e-300 leaves the rank-deficient terminal gram singular, so the
+    # Cholesky solve raises numpy's LinAlgError
+    cfg = write_config(
+        tmp_path,
+        "ridge.json",
+        {"kind": "functional", "target": "terminal-square", "depths": [3],
+         "levels": [3], "n_samples": 20, "lam": 1e-300, "seed": 1},
+    )
+    out = tmp_path / "r.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+# Runs tiny configs through `sigpath.cli.main` in a fresh interpreter; its
+# last stdout line lists, per config, the exit code and whether scipy had
+# been imported by then.
+_SCIPY_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from sigpath import cli
+results = []
+for path in sys.argv[2:]:
+    code = cli.main(["run", "--config", path, "--out", path + ".csv"])
+    results.append([code, "scipy" in sys.modules])
+print(json.dumps(results))
+"""
+
+
+def test_run_path_without_ridge_never_imports_scipy(tmp_path):
+    payloads = [
+        {"kind": "levy", "depths": [2, 3], "n_samples": 10, "n_max": 7},
+        {"kind": "moments", "depths": [3], "n_samples": 10},
+        small_functional_config(),
+        {"kind": "ode", "depths": [3], "levels": [1, 2], "n_samples": 10, "lam": 0.0},
+        {"kind": "sde", "depths": [3, 4], "levels": [2], "n_samples": 10, "lam": 0.0},
+        small_functional_config(lam=1e-3),
+    ]
+    paths = [write_config(tmp_path, f"c{i}.json", p) for i, p in enumerate(payloads)]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", _SCIPY_PROBE, str(ROOT / "src"), *paths],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout.splitlines()[-1])
+    # the minimum-norm, levy and moments runs keep scipy out of the process
+    assert results[:-1] == [[0, False]] * (len(payloads) - 1)
+    # a ridge fit imports it on first use and runs
+    assert results[-1][0] == 0
 
 
 def test_levy_time_coordinate_distance_is_zero():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sigpath.regress as rg
 from sigpath.paths import PiecewiseLinearPath, dyadic_times, time_extend
@@ -7,12 +9,19 @@ from sigpath.signature import LinearFunctional, signature
 from sigpath.stochastic import sample_brownian_batch
 from sigpath.tensor import total_entries
 from sigpath.words import all_words
+from helpers_oracle import lstsq_oracle
 
 
 def brownian_features(seed, n, depth, level, mode="terminal"):
     times = dyadic_times(1.0, depth)
     values = sample_brownian_batch(seed, np.arange(n), 1, 1.0, depth)
     return rg.features_from_values(times, values, level, mode)
+
+
+def _train_rows(feats, split_seed):
+    """fit's training rows: every sample outside the split's first fifth."""
+    perm = rg._split_permutation(split_seed, feats.n_samples)
+    return ~np.isin(feats.sample_ids, perm[: feats.n_samples // 5])
 
 
 def test_terminal_features_of_single_line():
@@ -132,8 +141,10 @@ def test_fit_is_split_deterministic():
 
 def test_fit_rejects_bad_inputs():
     feats = brownian_features(10, 20, 3, 1)
-    with pytest.raises(ValueError):
-        rg.fit(feats, np.full(feats.matrix.shape[0], np.nan))
+    for bad in (np.nan, np.inf):
+        for lam in (None, 0.0):
+            with pytest.raises(ValueError):
+                rg.fit(feats, np.full(feats.matrix.shape[0], bad), lam=lam)
     with pytest.raises(ValueError):
         rg.fit(feats, np.zeros(3))
     with pytest.raises(ValueError):
@@ -193,3 +204,61 @@ def test_build_features_equals_features_from_values():
     terminal = rg.build_features(paths, 3, "terminal").matrix
     singles = [signature(time_extend(p), 3).flat() for p in paths]
     assert np.array_equal(terminal, np.stack(singles))
+
+
+@st.composite
+def min_norm_cases(draw):
+    """Brownian features of dims 1-2 at levels 1-4 in terminal mode (rank-
+    deficient from level 2: the pure-time words are constants) or stopped
+    mode, from 10 paths (underdetermined) to a few hundred, with a target
+    no truncated functional fits exactly."""
+    d = draw(st.integers(1, 2))
+    level = draw(st.integers(1, 4))
+    mode = draw(st.sampled_from(["terminal", "stopped"]))
+    n = draw(st.integers(10, 300))
+    depth = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    times = dyadic_times(1.0, depth)
+    values = sample_brownian_batch(seed, np.arange(n), d, 1.0, depth)
+    feats = rg.features_from_values(times, values, level, mode)
+    x = feats.matrix[:, feats.words.index((1,))]
+    return feats, np.sin(3.0 * x) + x * feats.matrix[:, -1], seed
+
+
+@settings(deadline=None, max_examples=60)
+@given(min_norm_cases())
+def test_min_norm_fit_matches_lstsq_oracle_bitwise(case):
+    feats, y, split_seed = case
+    report = rg.fit(feats, y, lam=0.0, split_seed=split_seed)
+    train = _train_rows(feats, split_seed)
+    beta, rank = lstsq_oracle(feats.matrix[train], y[train])
+    got = report.functional.coefficient_vector()
+    assert np.array_equal(got.view(np.uint64), beta.view(np.uint64))
+    assert report.rank_deficient == (rank < feats.matrix.shape[1])
+
+
+@pytest.mark.parametrize("ratio", [3e-11, 3e-10])
+def test_min_norm_fit_keeps_the_oracle_cutoff(ratio):
+    # the last column is made collinear with the (1,) column up to a
+    # perturbation whose singular value sits at `ratio` times the largest on
+    # the training rows: below the 1e-10 cutoff it is dropped, above it kept
+    feats = brownian_features(12, 200, 4, 2, mode="stopped")
+    train = _train_rows(feats, 0)
+    noise = np.random.default_rng(0).normal(size=feats.matrix.shape[0])
+    matrix = feats.matrix.copy()
+    x = matrix[:, feats.words.index((1,))]
+    for _ in range(3):
+        s = np.linalg.svd(matrix[train], compute_uv=False)
+        noise *= ratio / (s[-1] / s[0])
+        matrix[:, -1] = x + noise
+    s = np.linalg.svd(matrix[train], compute_uv=False)
+    assert 0.5 * ratio < s[-1] / s[0] < 2.0 * ratio
+    near = rg.FeatureMatrix(
+        matrix, feats.dim, feats.level, feats.sample_ids, feats.time_weights
+    )
+    y = np.sin(3.0 * x) + matrix[:, -1]
+    report = rg.fit(near, y, lam=0.0)
+    beta, rank = lstsq_oracle(matrix[train], y[train])
+    assert report.rank_deficient == (ratio < 1e-10) == (rank < matrix.shape[1])
+    got = report.functional.coefficient_vector()
+    assert np.array_equal(got.view(np.uint64), beta.view(np.uint64))
