@@ -325,15 +325,21 @@ def run_regression(cfg: ExperimentConfig):
     for depth in cfg.depths:
         t0 = time.perf_counter()
         times = dyadic_times(cfg.T, depth)
-        label, mode, values, y, n_excluded = _regression_target(
-            cfg, times, _sample_values(cfg, depth)
-        )
+        # ODE blow-ups are excluded and other overflows rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            label, mode, values, y, n_excluded = _regression_target(
+                cfg, times, _sample_values(cfg, depth)
+            )
+        if not len(values):
+            raise NumericalError(
+                f"no path kept at depth {depth}: all {n_excluded} excluded"
+            )
         if not np.isfinite(y).all():
             raise NumericalError(f"non-finite value in {cfg.kind} targets")
         feats = features_from_values(times, values, max(cfg.levels), mode)
         for level in cfg.levels:
             report = fit(
-                feats.truncated(level), y, lam=cfg.lam, p=cfg.p, split_seed=cfg.seed
+                feats, y, lam=cfg.lam, p=cfg.p, split_seed=cfg.seed, level=level
             )
             rows.append(
                 _regression_row(cfg, label, depth, level, n_excluded, report)
@@ -390,7 +396,8 @@ def run_levy(cfg: ExperimentConfig):
             coarse = _upsample_dyadic(fine[:, ::stride, :], eval_depth - dep)
             vals = functional.apply_stream(eval_times, coarse)
             delta = vals - ref_vals
-            acc[dep] += float(np.sum(weights * np.abs(delta) ** cfg.p))
+            with np.errstate(over="ignore"):  # rejected as a non-finite distance
+                acc[dep] += float(np.sum(weights * np.abs(delta) ** cfg.p))
     distances = {
         dep: (acc[dep] / cfg.n_samples) ** (1.0 / cfg.p) for dep in depths
     }

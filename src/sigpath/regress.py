@@ -9,6 +9,7 @@ word (1,1) for a squared terminal value).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,28 +42,29 @@ def trapezoid_weights(times: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
-    """Signature coordinates as a design matrix.
+    """Signature coordinates of a batch of paths, sample-major.
 
-    Terminal mode holds one row per sample; stopped mode one row per
-    (sample, eval time), sample-major, with per-row trapezoid time weights.
+    table is (n_samples, rows_per_sample, D), D = total_entries(dim, level):
+    one row per sample in terminal mode, one per eval time in stopped mode,
+    where time_weights (rows_per_sample,) holds the trapezoid weights of the
+    eval times. A lower level's features are a column prefix of the table.
     """
 
-    matrix: np.ndarray
+    table: np.ndarray
     dim: int
     level: int
-    sample_ids: np.ndarray
     time_weights: np.ndarray | None = None
 
     def __post_init__(self):
         width = total_entries(self.dim, self.level)
-        if self.matrix.ndim != 2 or self.matrix.shape[1] != width:
+        if self.table.ndim != 3 or self.table.shape[2] != width:
             raise ValueError(
-                f"feature matrix must have {width} columns for dim "
-                f"{self.dim}, level {self.level}"
+                f"feature table must have shape (samples, rows, {width}) for "
+                f"dim {self.dim}, level {self.level}"
             )
-        if not np.isfinite(self.matrix).all():
-            raise ValueError("non-finite feature entry")
-        if not np.allclose(self.matrix[:, 0], 1.0, rtol=0.0, atol=1e-12):
+        if not np.isfinite(self.table).all():
+            raise FloatingPointError("non-finite feature entry (overflow)")
+        if not np.allclose(self.table[..., 0], 1.0, rtol=0.0, atol=1e-12):
             raise ValueError("empty-word column must be identically 1")
 
     @property
@@ -70,20 +72,13 @@ class FeatureMatrix:
         return all_words(self.dim, self.level)
 
     @property
-    def n_samples(self) -> int:
-        return int(np.unique(self.sample_ids).size)
+    def matrix(self) -> np.ndarray:
+        """The (n_samples * rows_per_sample, D) design matrix view."""
+        return self.table.reshape(-1, self.table.shape[2])
 
-    def truncated(self, level: int) -> "FeatureMatrix":
-        """Restrict to words of length <= level (a column prefix)."""
-        if level > self.level:
-            raise ValueError(f"level {level} exceeds stored level {self.level}")
-        return FeatureMatrix(
-            self.matrix[:, : total_entries(self.dim, level)],
-            self.dim,
-            level,
-            self.sample_ids,
-            self.time_weights,
-        )
+    @property
+    def n_samples(self) -> int:
+        return self.table.shape[0]
 
 
 def features_from_values(
@@ -101,25 +96,19 @@ def features_from_values(
     """
     values = np.asarray(values, dtype=float)
     times = np.asarray(times, dtype=float)
-    n_paths, n_pts, d = values.shape
+    n_pts, d = values.shape[1:]
+    if mode not in ("terminal", "stopped"):
+        raise ValueError(f"unknown mode {mode!r}")
     if mode == "terminal":
-        table = stream_table(times, values, level, eval_idx=[n_pts - 1])
-        return FeatureMatrix(table[:, 0, :], d + 1, level, np.arange(n_paths))
-    if mode == "stopped":
-        if eval_idx is None:
-            eval_idx = np.arange(n_pts)
-        eval_idx = np.asarray(eval_idx, dtype=int)
+        eval_idx = [n_pts - 1]
+    elif eval_idx is None:
+        eval_idx = np.arange(n_pts)
+    eval_idx = np.asarray(eval_idx, dtype=int)
+    # an overflow surfaces as FeatureMatrix's non-finite entry error
+    with np.errstate(over="ignore", invalid="ignore"):
         table = stream_table(times, values, level, eval_idx=eval_idx)
-        weights = trapezoid_weights(times[eval_idx])
-        rows = table.reshape(n_paths * eval_idx.size, -1)
-        return FeatureMatrix(
-            rows,
-            d + 1,
-            level,
-            np.repeat(np.arange(n_paths), eval_idx.size),
-            np.tile(weights, n_paths),
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    weights = trapezoid_weights(times[eval_idx]) if mode == "stopped" else None
+    return FeatureMatrix(table, d + 1, level, weights)
 
 
 def build_features(paths, level: int, mode: str = "terminal", eval_times=None) -> FeatureMatrix:
@@ -189,11 +178,14 @@ def _split_permutation(split_seed: int, n: int) -> np.ndarray:
     return np.argsort(u, kind="stable")
 
 
-def _weighted_lp(residuals, weights, n_samples, p):
+def _weighted_lp(residuals, weights, p):
+    """L^p norm of (samples, rows) residuals: the mean over samples of the
+    row sum weighted by `weights` (rows,), or the plain mean if None."""
+    terms = np.abs(residuals) ** p
     if weights is None:
-        return float(np.mean(np.abs(residuals) ** p) ** (1.0 / p))
-    total = float(np.sum(weights * np.abs(residuals) ** p))
-    return float((total / n_samples) ** (1.0 / p))
+        return float(np.mean(terms.ravel()) ** (1.0 / p))
+    total = float(np.sum((weights * terms).ravel()))
+    return float((total / residuals.shape[0]) ** (1.0 / p))
 
 
 def _functional_from_vector(beta: np.ndarray, dim: int, level: int) -> LinearFunctional:
@@ -201,15 +193,19 @@ def _functional_from_vector(beta: np.ndarray, dim: int, level: int) -> LinearFun
     return LinearFunctional(dim, level, coeffs)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit(
     features: FeatureMatrix,
     targets,
     lam: float | None = None,
     p: float = 2.0,
     split_seed: int = 0,
+    level: int | None = None,
 ) -> FitReport:
     """Ridge (lam > 0) or minimum-norm least squares (lam = 0) on an 80/20
-    sample split.
+    split of the samples (all rows of a sample on one side), over the words
+    of length <= level (default: the features' level): a column prefix,
+    whose training rows are copied to one C-contiguous matrix.
 
     Ridge solves the regularized normal equations by Cholesky
     (`scipy.linalg.solve(..., assume_a="pos")`; scipy is imported on this
@@ -218,68 +214,61 @@ def fit(
     run with lam = 0 never loads scipy's second BLAS runtime.
 
     lam = None selects the scale-aware default 1e-8 * trace(X'X) / n_cols;
-    the split shuffles sample indices with a seeded generator so reruns are
-    bit-identical.
+    the split is seeded, so reruns are bit-identical. Overflow does not
+    warn: overflowing normal equations raise FloatingPointError before any
+    solve, and an overflowing error or residual is returned as inf.
     """
-    X = features.matrix
+    level = features.level if level is None else level
+    if not 0 <= level <= features.level:
+        raise ValueError(f"level {level} outside 0..{features.level}")
+    n_samples, rows, _ = features.table.shape
+    n_cols = total_entries(features.dim, level)
     y = np.asarray(targets, dtype=float).ravel()
-    if y.size != X.shape[0]:
-        raise ValueError(f"{y.size} targets for {X.shape[0]} feature rows")
+    if y.size != n_samples * rows:
+        raise ValueError(f"{y.size} targets for {n_samples * rows} feature rows")
     if not np.isfinite(y).all():
         raise ValueError("non-finite target")
     if lam is not None and lam < 0:
         raise ValueError("lam must be >= 0")
 
-    sample_ids = np.asarray(features.sample_ids)
-    samples = np.unique(sample_ids)
-    perm = samples[_split_permutation(split_seed, samples.size)]
-    n_test = samples.size // 5 if samples.size >= 2 else 0
-    test_samples = perm[: n_test]
-    train_mask = ~np.isin(sample_ids, test_samples)
+    n_test = n_samples // 5
+    train = np.ones(n_samples, dtype=bool)
+    train[_split_permutation(split_seed, n_samples)[:n_test]] = False
 
-    X_tr, y_tr = X[train_mask], y[train_mask]
+    X_tr = features.table[train, :, :n_cols].reshape(-1, n_cols)
+    y_tr = y.reshape(n_samples, rows)[train].ravel()
     gram = X_tr.T @ X_tr
     xty = X_tr.T @ y_tr
-    n_cols = X.shape[1]
     if lam is None:
         lam = 1e-8 * float(np.trace(gram)) / n_cols
+    lhs = gram + lam * np.eye(n_cols)
+    if not (np.isfinite(lhs).all() and np.isfinite(xty).all()):
+        raise FloatingPointError(
+            f"normal equations overflow at level {level}: non-finite X'X or X'y"
+        )
 
     rank_deficient = False
     if lam > 0.0:
         import scipy.linalg
 
-        beta = scipy.linalg.solve(
-            gram + lam * np.eye(n_cols), xty, assume_a="pos"
-        )
+        # an ill-conditioned solve shows in gram_eig_min and gram_eig_max
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            beta = scipy.linalg.solve(lhs, xty, assume_a="pos")
     else:
         # drop directions collinear to within the precision of the feature
         # computation itself; keeping them blows up the minimum-norm solution
         beta, _, rank, _ = np.linalg.lstsq(X_tr, y_tr, rcond=1e-10)
         rank_deficient = rank < n_cols
 
-    residual = float(
-        np.linalg.norm((gram + lam * np.eye(n_cols)) @ beta - xty)
-    )
+    residual = float(np.linalg.norm(lhs @ beta - xty))
     eigs = np.linalg.eigvalsh(gram)
-    functional = _functional_from_vector(beta, features.dim, features.level)
+    functional = _functional_from_vector(beta, features.dim, level)
 
-    resid_all = y - X @ beta
+    resid = (y - features.matrix[:, :n_cols] @ beta).reshape(n_samples, rows)
     w = features.time_weights
-    train_error = _weighted_lp(
-        resid_all[train_mask],
-        None if w is None else w[train_mask],
-        samples.size - n_test,
-        p,
-    )
-    if n_test:
-        test_error = _weighted_lp(
-            resid_all[~train_mask],
-            None if w is None else w[~train_mask],
-            n_test,
-            p,
-        )
-    else:
-        test_error = float("nan")
+    train_error = _weighted_lp(resid[train], w, p)
+    test_error = _weighted_lp(resid[~train], w, p) if n_test else float("nan")
     return FitReport(
         functional=functional,
         lam=float(lam),
@@ -290,7 +279,7 @@ def fit(
         gram_eig_min=float(eigs[0]),
         gram_eig_max=float(eigs[-1]),
         rank_deficient=bool(rank_deficient),
-        n_train_samples=int(samples.size - n_test),
+        n_train_samples=int(n_samples - n_test),
         n_test_samples=int(n_test),
     )
 
@@ -308,4 +297,5 @@ def lp_error(functional: LinearFunctional, features: FeatureMatrix, targets, p: 
     if functional.level > features.level:
         raise ValueError("functional level exceeds feature level")
     preds = features.matrix[:, :width] @ functional.coefficient_vector()
-    return _weighted_lp(y - preds, features.time_weights, features.n_samples, p)
+    resid = (y - preds).reshape(features.table.shape[:2])
+    return _weighted_lp(resid, features.time_weights, p)

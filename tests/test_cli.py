@@ -275,7 +275,7 @@ def test_bad_out_exits_2_before_the_run(tmp_path, monkeypatch, case):
 CONFIG_FIELDS = {
     "seed": st.integers(0, 2**64 - 1),
     "d": st.integers(1, 2),
-    "T": st.sampled_from([0.5, 1.0, 2.5]),
+    "T": st.sampled_from([0.5, 1.0, 2.5, 1e100]),
     "depths": st.lists(st.integers(0, 6), min_size=1, max_size=2),
     "levels": st.lists(st.integers(1, 3), min_size=1, max_size=2),
     "n_samples": st.integers(10, 40),
@@ -288,7 +288,7 @@ CONFIG_FIELDS = {
     "target": st.sampled_from(FUNCTIONAL_TARGETS + LEVY_TARGETS),
     "field": st.sampled_from(VECTOR_FIELDS),
     "a": st.sampled_from([-0.5, 0.0, 0.5]),
-    "b": st.sampled_from([0.5, 1.0]),
+    "b": st.sampled_from([0.5, 1.0, 1e300]),
     "y0": st.sampled_from([-1.0, 1.0]),
     "substeps": st.integers(1, 4),
     "n_max": st.integers(0, 10),
@@ -375,6 +375,36 @@ def test_singular_ridge_solve_exits_3(tmp_path):
     )
     out = tmp_path / "r.csv"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        # every path blows up, so the depth keeps none
+        ({"kind": "ode", "field": "linear", "b": 1e300, "depths": [3],
+          "levels": [1], "n_samples": 10, "lam": 0.0},
+         "no path kept at depth 3: all 10 excluded"),
+        # the pure-time word (0, 0, 0) = T^3 / 6 overflows
+        ({"kind": "functional", "T": 1e160, "depths": [2], "levels": [3],
+          "n_samples": 10, "lam": 0.0}, "non-finite feature entry"),
+        ({"kind": "ode", "field": "tanh-bounded", "T": 1e300, "depths": [3],
+          "levels": [2], "n_samples": 10, "lam": 0.0}, "non-finite feature entry"),
+        # finite features whose gram overflows, before the ridge solve
+        ({"kind": "functional", "T": 1e60, "depths": [2], "levels": [3],
+          "n_samples": 10}, "normal equations overflow"),
+        ({"kind": "functional", "T": 1e60, "depths": [2], "levels": [3],
+          "n_samples": 10, "lam": 0.001}, "normal equations overflow"),
+    ],
+    ids=["ode-all-excluded", "functional-feature-overflow",
+         "ode-feature-overflow", "ridge-default-gram-overflow",
+         "ridge-gram-overflow"],
+)
+def test_overflow_or_empty_run_exits_3(tmp_path, capsys, payload, message):
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

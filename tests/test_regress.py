@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,9 +21,12 @@ def brownian_features(seed, n, depth, level, mode="terminal"):
 
 
 def _train_rows(feats, split_seed):
-    """fit's training rows: every sample outside the split's first fifth."""
-    perm = rg._split_permutation(split_seed, feats.n_samples)
-    return ~np.isin(feats.sample_ids, perm[: feats.n_samples // 5])
+    """fit's training rows: every row of a sample outside the split's first
+    fifth."""
+    n_samples, rows = feats.table.shape[:2]
+    train = np.ones(n_samples, dtype=bool)
+    train[rg._split_permutation(split_seed, n_samples)[: n_samples // 5]] = False
+    return np.repeat(train, rows)
 
 
 def test_terminal_features_of_single_line():
@@ -122,7 +127,7 @@ def test_train_error_non_increasing_in_level():
     y = np.clip(np.exp(w_t), -10.0, 10.0)
     errors = []
     for level in (1, 2, 3, 4):
-        report = rg.fit(feats.truncated(level), y, lam=0.0)
+        report = rg.fit(feats, y, lam=0.0, level=level)
         errors.append(report.train_error)
     assert all(errors[i + 1] <= errors[i] + 1e-12 for i in range(3))
 
@@ -149,11 +154,13 @@ def test_fit_rejects_bad_inputs():
         rg.fit(feats, np.zeros(3))
     with pytest.raises(ValueError):
         rg.fit(feats, np.zeros(feats.matrix.shape[0]), lam=-1.0)
+    for level in (-1, feats.level + 1):
+        with pytest.raises(ValueError):
+            rg.fit(feats, np.zeros(feats.matrix.shape[0]), level=level)
 
 
 def test_lp_error_examples():
-    matrix = np.ones((2, 1))
-    feats = rg.FeatureMatrix(matrix, 2, 0, np.arange(2))
+    feats = rg.FeatureMatrix(np.ones((2, 1, 1)), 2, 0)
     zero = LinearFunctional(2, 0, {})
     assert rg.lp_error(zero, feats, [3.0, 4.0], 2.0) == pytest.approx(
         np.sqrt(25.0 / 2.0)
@@ -195,7 +202,8 @@ def test_build_features_equals_features_from_values():
     for mode, eval_times, eval_idx in cases:
         built = rg.build_features(paths, 3, mode, eval_times)
         direct = rg.features_from_values(times, values, 3, mode, eval_idx)
-        for field in ("matrix", "sample_ids", "time_weights"):
+        assert built.n_samples == direct.n_samples == len(paths)
+        for field in ("table", "time_weights"):
             assert np.array_equal(
                 getattr(built, field), getattr(direct, field)
             ), (mode, eval_times, field)
@@ -211,7 +219,8 @@ def min_norm_cases(draw):
     """Brownian features of dims 1-2 at levels 1-4 in terminal mode (rank-
     deficient from level 2: the pure-time words are constants) or stopped
     mode, from 10 paths (underdetermined) to a few hundred, with a target
-    no truncated functional fits exactly."""
+    no truncated functional fits exactly; the fit reads a drawn level at or
+    below the features' level."""
     d = draw(st.integers(1, 2))
     level = draw(st.integers(1, 4))
     mode = draw(st.sampled_from(["terminal", "stopped"]))
@@ -222,19 +231,56 @@ def min_norm_cases(draw):
     values = sample_brownian_batch(seed, np.arange(n), d, 1.0, depth)
     feats = rg.features_from_values(times, values, level, mode)
     x = feats.matrix[:, feats.words.index((1,))]
-    return feats, np.sin(3.0 * x) + x * feats.matrix[:, -1], seed
+    fit_level = draw(st.integers(1, level))
+    return feats, np.sin(3.0 * x) + x * feats.matrix[:, -1], seed, fit_level
 
 
 @settings(deadline=None, max_examples=60)
 @given(min_norm_cases())
 def test_min_norm_fit_matches_lstsq_oracle_bitwise(case):
-    feats, y, split_seed = case
-    report = rg.fit(feats, y, lam=0.0, split_seed=split_seed)
+    feats, y, split_seed, level = case
+    report = rg.fit(feats, y, lam=0.0, split_seed=split_seed, level=level)
     train = _train_rows(feats, split_seed)
-    beta, rank = lstsq_oracle(feats.matrix[train], y[train])
+    width = total_entries(feats.dim, level)
+    beta, rank = lstsq_oracle(feats.matrix[train, :width], y[train])
     got = report.functional.coefficient_vector()
+    assert report.functional.level == level
     assert np.array_equal(got.view(np.uint64), beta.view(np.uint64))
-    assert report.rank_deficient == (rank < feats.matrix.shape[1])
+    assert report.rank_deficient == (rank < width)
+
+
+def _report_bits(report):
+    """Every FitReport field, floats as their uint64 bit patterns."""
+    bits = {}
+    for field in dataclasses.fields(report):
+        value = getattr(report, field.name)
+        if isinstance(value, LinearFunctional):
+            coeffs = value.coefficient_vector().view(np.uint64)
+            value = (value.dim, value.level, tuple(coeffs.tolist()))
+        elif isinstance(value, float):
+            value = int(np.float64(value).view(np.uint64))
+        bits[field.name] = value
+    return bits
+
+
+@pytest.mark.parametrize("mode", ["terminal", "stopped"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_column_prefix_fit_keeps_the_bits_of_a_direct_fit(d, mode):
+    # fit(level=l) on top-level features reads the column prefix of width
+    # total_entries(d + 1, l); its training rows must be a contiguous copy,
+    # since a strided view changes the gram's bits (and normal_eq_residual)
+    top = 4
+    times = dyadic_times(1.0, 4)
+    values = sample_brownian_batch(13, np.arange(150), d, 1.0, 4)
+    feats = rg.features_from_values(times, values, top, mode)
+    x = feats.matrix[:, feats.words.index((1,))]
+    y = np.sin(3.0 * x) + x * feats.matrix[:, -1]
+    for level in range(top):
+        direct = rg.features_from_values(times, values, level, mode)
+        for lam in (0.0, None):
+            got = rg.fit(feats, y, lam=lam, split_seed=5, level=level)
+            want = rg.fit(direct, y, lam=lam, split_seed=5)
+            assert _report_bits(got) == _report_bits(want), (level, lam)
 
 
 @pytest.mark.parametrize("ratio", [3e-11, 3e-10])
@@ -254,7 +300,7 @@ def test_min_norm_fit_keeps_the_oracle_cutoff(ratio):
     s = np.linalg.svd(matrix[train], compute_uv=False)
     assert 0.5 * ratio < s[-1] / s[0] < 2.0 * ratio
     near = rg.FeatureMatrix(
-        matrix, feats.dim, feats.level, feats.sample_ids, feats.time_weights
+        matrix.reshape(feats.table.shape), feats.dim, feats.level, feats.time_weights
     )
     y = np.sin(3.0 * x) + matrix[:, -1]
     report = rg.fit(near, y, lam=0.0)
