@@ -1,8 +1,8 @@
 """Piecewise linear paths on a partition of [0, T].
 
 Covers construction and evaluation, time extension, breakpoint insertion,
-stopped paths, a grid estimate of the alpha-Hoelder norm, the exponential
-weight built from it, and a small CSV interchange format.
+stopped paths, the exact alpha-Hoelder norm, the exponential weight built
+from it, and a small CSV interchange format.
 """
 
 from __future__ import annotations
@@ -169,18 +169,6 @@ def insert_breakpoint(path: PiecewiseLinearPath, t: float) -> PiecewiseLinearPat
     return PiecewiseLinearPath(new_times, new_values)
 
 
-def refine_times(times: np.ndarray, m: int) -> np.ndarray:
-    """Breakpoints plus m-1 equally spaced interior points per segment."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m == 1:
-        return np.asarray(times, dtype=float).copy()
-    times = np.asarray(times, dtype=float)
-    offsets = np.arange(m) / m
-    grid = times[:-1, None] + offsets[None, :] * np.diff(times)[:, None]
-    return np.append(grid.ravel(), times[-1])
-
-
 def _scan_block(times, block, alpha, best):
     """Lag scan of one block (n, G, D) of paths into its slice `best` (n,).
 
@@ -255,33 +243,28 @@ def max_increment_ratio(times: np.ndarray, values: np.ndarray, alpha: float):
     return best.reshape(values.shape[:-2])[()]
 
 
-def holder_norm(path: PiecewiseLinearPath, alpha: float, m: int = 16) -> float:
-    """Grid estimate of the alpha-Hoelder norm.
+def holder_norm(path: PiecewiseLinearPath, alpha: float) -> float:
+    """Exact alpha-Hoelder norm: the maximum over breakpoint pairs.
 
-    The candidate set is the breakpoints plus m-1 interior points per
-    segment; the estimate is a lower bound of the true supremum and is
-    non-decreasing when m doubles.
+    With one endpoint fixed, |X_t - X_s| is convex and (t - s)^alpha concave
+    and positive along each segment, so their ratio is quasiconvex there and
+    peaks at a breakpoint.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    grid = refine_times(path.times, m)
-    vals = path.eval(grid)
-    return float(max_increment_ratio(grid, vals, alpha))
+    return float(max_increment_ratio(path.times, path.values, alpha))
 
 
 def weight(
-    path: PiecewiseLinearPath,
-    alpha: float,
-    beta: float,
-    gamma: float = 2.0,
-    m: int = 16,
+    path: PiecewiseLinearPath, alpha: float, beta: float, gamma: float = 2.0
 ) -> float:
-    """Exponential growth gauge exp(beta * holder_norm^gamma)."""
+    """Exponential growth gauge exp(beta * holder_norm^gamma) of the exact
+    breakpoint norm."""
     if beta <= 0.0:
         raise ValueError("beta must be > 0")
     if gamma < 1.0:
         raise ValueError("gamma must be >= 1")
-    return float(np.exp(beta * holder_norm(path, alpha, m) ** gamma))
+    return float(np.exp(beta * holder_norm(path, alpha) ** gamma))
 
 
 def stop(path: PiecewiseLinearPath, t: float) -> StoppedPath:

@@ -216,7 +216,8 @@ def fit(
     lam = None selects the scale-aware default 1e-8 * trace(X'X) / n_cols;
     the split is seeded, so reruns are bit-identical. Overflow does not
     warn: overflowing normal equations raise FloatingPointError before any
-    solve, and an overflowing error or residual is returned as inf.
+    solve, and an overflowing error is returned as inf; the residual norm is
+    rescaled when only its squares overflow.
     """
     level = features.level if level is None else level
     if not 0 <= level <= features.level:
@@ -261,7 +262,12 @@ def fit(
         beta, _, rank, _ = np.linalg.lstsq(X_tr, y_tr, rcond=1e-10)
         rank_deficient = rank < n_cols
 
-    residual = float(np.linalg.norm(lhs @ beta - xty))
+    r = lhs @ beta - xty
+    residual = float(np.linalg.norm(r))
+    if not np.isfinite(residual) and np.isfinite(r).all():
+        # norm squares the entries unscaled, so entries beyond ~1e154 overflow
+        scale = np.abs(r).max()
+        residual = float(scale * np.linalg.norm(r / scale))
     eigs = np.linalg.eigvalsh(gram)
     functional = _functional_from_vector(beta, features.dim, level)
 

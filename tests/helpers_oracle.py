@@ -3,9 +3,9 @@
 These deliberately avoid the library's own kernels: iterated integrals are
 done by cumulative Riemann-Stieltjes sums on a dense grid, signature streams
 by one dense Chen product per breakpoint, Hoelder norms by explicit pairwise
-maxima or a plain lag loop, shuffles by enumerating interleavings,
-products of one-dimensional tensors by series convolution, and minimum-norm
-least squares by scipy's own LAPACK binding.
+maxima or a plain lag loop (also over a refined grid), shuffles by
+enumerating interleavings, products of one-dimensional tensors by series
+convolution, and minimum-norm least squares by scipy's own LAPACK binding.
 """
 
 import itertools
@@ -87,6 +87,34 @@ def lag_scan_oracle(times, values, alpha):
         ratio = np.sqrt(np.sum(dv * dv, axis=-1)) / dt**alpha
         best = np.maximum(best, ratio.max(axis=-1))
     return best
+
+
+def refine_times(times, m):
+    """Breakpoints plus m-1 equally spaced interior points per segment."""
+    times = np.asarray(times, dtype=float)
+    if m == 1:
+        return times.copy()
+    offsets = np.arange(m) / m
+    grid = times[:-1, None] + offsets[None, :] * np.diff(times)[:, None]
+    return np.append(grid.ravel(), times[-1])
+
+
+def refined_holder_oracle(times, values, alpha, m):
+    """Hoelder norms of the time-extended paths through spatial `values`
+    (n, K, d) on the partition `times`, scanned over the grid refined to m
+    points per segment: the refine, interpolate and lag-scan route the
+    moments kind ran before it scanned the breakpoints alone, whose bits
+    the breakpoint scan must keep."""
+    from sigpath.paths import time_extend_values
+
+    grid = refine_times(times, m)
+    pos = np.clip(np.searchsorted(times, grid, side="right") - 1, 0, times.size - 2)
+    frac = (grid - times[pos]) / (times[pos + 1] - times[pos])
+    hat = time_extend_values(times, values)
+    hat_grid = hat[:, pos, :] * (1.0 - frac)[None, :, None] + hat[
+        :, pos + 1, :
+    ] * frac[None, :, None]
+    return lag_scan_oracle(grid, hat_grid, alpha)
 
 
 def lstsq_oracle(X_tr, y_tr):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sigpath.experiments as experiments
+from helpers_oracle import refined_holder_oracle
 from sigpath.cli import main
 from sigpath.experiments import (
     EXPERIMENT_KINDS,
@@ -25,6 +26,8 @@ from sigpath.experiments import (
     run_moments,
     run_regression,
 )
+from sigpath.paths import dyadic_times
+from sigpath.stochastic import sample_brownian_batch
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -283,7 +286,7 @@ CONFIG_FIELDS = {
     "alpha": st.sampled_from([0.34, 0.4, 0.49]),
     "beta": st.sampled_from([0.01, 0.05, 500.0]),
     "gamma": st.sampled_from([1, 2.0]),
-    "m": st.integers(1, 4),
+    "m": st.one_of(st.integers(1, 4), st.just(10**12)),
     "lam": st.sampled_from([None, 0.0, 1e-3, 1e-300]),
     "target": st.sampled_from(FUNCTIONAL_TARGETS + LEVY_TARGETS),
     "field": st.sampled_from(VECTOR_FIELDS),
@@ -294,7 +297,8 @@ CONFIG_FIELDS = {
     "n_max": st.integers(0, 10),
 }
 # Mistyped and out-of-range values; no large integer, since a valid huge
-# n_samples, d or m would be accepted and allocated.
+# n_samples or d would be accepted and allocated (m allocates nothing: it is
+# recorded only, so CONFIG_FIELDS draws a huge one).
 BAD_VALUES = st.sampled_from(
     ["x", "8", -1, 0, 2.5, True, None, [], [-1], [2.5], {}, float("nan"), "mystery"]
 )
@@ -362,6 +366,51 @@ def test_moments_overflow_aborts(tmp_path):
         {"kind": "moments", "seed": 1, "n_samples": 20, "depths": [4], "beta": 500.0},
     )
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "m.csv")]) == 3
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(1, 2),
+    st.integers(1, 16),
+    st.integers(0, 6),
+    st.sampled_from([0.3, 1.0, 2.5]),
+    st.sampled_from([0.34, 0.4, 0.49]),
+    st.integers(10, 13),
+    st.integers(0, 2**32 - 1),
+)
+def test_moment_norms_scan_the_breakpoints_with_the_refined_bits(
+    d, m, depth, T, alpha, n_samples, seed
+):
+    # every breakpoint pair sits in the refined grid with the same bits, and
+    # no interior pair beats them, so the breakpoint scan the moments kind
+    # runs keeps the bits of the refined-grid route it replaced
+    cfg = ExperimentConfig.from_dict(
+        {"kind": "moments", "d": d, "m": m, "depths": [depth], "T": T,
+         "alpha": alpha, "n_samples": n_samples, "seed": seed}
+    )
+    calls = []
+    scan = experiments.max_increment_ratio
+
+    def recording_scan(times, values, a):
+        norms = scan(times, values, a)
+        calls.append((times, values, norms))
+        return norms
+
+    chunk = 4
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "max_increment_ratio", recording_scan)
+        mp.setattr(experiments, "_MOMENT_CHUNK", chunk)
+        run_moments(cfg)
+    times = dyadic_times(T, depth)
+    assert len(calls) == math.ceil(n_samples / chunk)
+    for start, (got_times, values, norms) in zip(range(0, n_samples, chunk), calls):
+        idx = np.arange(start, min(start + chunk, n_samples))
+        assert np.array_equal(got_times, times)
+        assert values.shape == (idx.size, 2**depth + 1, d + 1)
+        want = refined_holder_oracle(
+            times, sample_brownian_batch(seed, idx, d, T, depth), alpha, m
+        )
+        assert np.array_equal(norms.view(np.uint64), want.view(np.uint64))
 
 
 def test_singular_ridge_solve_exits_3(tmp_path):
@@ -499,6 +548,34 @@ def test_levy_first_coordinate_slope(tmp_path):
     dists = [r["distance"] for r in rows]
     assert all(b < a for a, b in zip(dists, dists[1:]))
     assert -0.75 <= rows[0]["slope"] <= -0.25
+
+
+def test_huge_m_moments_run_exits_0(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        "m.json",
+        {"kind": "moments", "depths": [3], "n_samples": 10, "alpha": 0.4999,
+         "m": 1000000},
+    )
+    out = tmp_path / "m.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        assert [row["m"] for row in csv.DictReader(fh)] == ["1000000"]
+
+
+def test_normal_eq_residual_beyond_the_square_range_stays_finite(tmp_path):
+    # the residual entries reach about 1e185, so their squares overflow
+    cfg = write_config(
+        tmp_path,
+        "big.json",
+        {"kind": "functional", "T": 1e100, "depths": [2], "levels": [1],
+         "n_samples": 10},
+    )
+    out = tmp_path / "big.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert float(row["normal_eq_residual"]) == pytest.approx(1.36e185, rel=1e-2)
 
 
 def test_rows_carry_config_hash(tmp_path):
