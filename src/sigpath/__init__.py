@@ -20,13 +20,10 @@ from .words import all_words, apply_shuffle_check, offset_to_word, shuffle, word
 from .paths import (
     PathFormatError,
     PiecewiseLinearPath,
-    StoppedPath,
     dyadic_times,
     holder_norm,
     insert_breakpoint,
-    materialize,
     read_path_csv,
-    stop,
     time_extend,
     weight,
     write_path_csv,
@@ -40,18 +37,13 @@ from .signature import (
     signature_stream,
 )
 from .stochastic import (
-    BrownianLattice,
-    OdeBlowupError,
     VectorField,
-    interpolate,
     make_vector_field,
-    sample_brownian,
     sample_brownian_batch,
     sde_exact_gbm,
-    solve_ode_pl,
     stratonovich_reference,
 )
-from .regress import FeatureMatrix, FitReport, build_features, fit, lp_error
+from .regress import FeatureMatrix, FitReport, fit, lp_error
 from .experiments import ConfigError, ExperimentConfig, NumericalError, run_config
 
 __version__ = "0.1.0"

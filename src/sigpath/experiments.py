@@ -25,6 +25,8 @@ from .signature import LinearFunctional, levy_area_functional
 # layer by name (benchmarks/op.py) find it.
 from .signature import stream_table  # noqa: F401
 from .stochastic import (
+    MAX_DEPTH,
+    MAX_DIM,
     make_vector_field,
     sample_brownian_batch,
     sde_exact_gbm,
@@ -197,14 +199,14 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {c.kind!r}")
         if not isinstance(c.seed, int) or not 0 <= c.seed < 2**64:
             raise ConfigError("seed must be an integer in [0, 2**64)")
-        if c.d < 1 or c.T <= 0:
-            raise ConfigError("need d >= 1 and T > 0")
+        if not 1 <= c.d <= MAX_DIM or c.T <= 0:
+            raise ConfigError(f"need 1 <= d <= {MAX_DIM} and T > 0")
         if not c.depths:
             raise ConfigError("depths must be non-empty")
         if any(len(set(v)) != len(v) for v in (c.depths, c.levels)):
             raise ConfigError("depths and levels must not repeat an entry")
-        if c.n_max > 24 or any(not 0 <= dep <= c.n_max for dep in c.depths):
-            raise ConfigError("depths must lie in 0..n_max and n_max <= 24")
+        if c.n_max > MAX_DEPTH or any(not 0 <= dep <= c.n_max for dep in c.depths):
+            raise ConfigError(f"depths must lie in 0..n_max and n_max <= {MAX_DEPTH}")
         if c.n_samples < 10:
             raise ConfigError("n_samples must be >= 10")
         if c.p < 1:

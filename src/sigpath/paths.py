@@ -1,8 +1,8 @@
 """Piecewise linear paths on a partition of [0, T].
 
 Covers construction and evaluation, time extension, breakpoint insertion,
-stopped paths, the exact alpha-Hoelder norm, the exponential weight built
-from it, and a small CSV interchange format.
+the exact alpha-Hoelder norm, the exponential weight built from it, and a
+small CSV interchange format.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "PiecewiseLinearPath",
-    "StoppedPath",
     "PathFormatError",
     "check_partition",
     "dyadic_times",
@@ -27,8 +26,6 @@ __all__ = [
     "insert_breakpoint",
     "holder_norm",
     "weight",
-    "stop",
-    "materialize",
     "read_path_csv",
     "write_path_csv",
 ]
@@ -130,15 +127,6 @@ class PiecewiseLinearPath:
         )
 
 
-@dataclass(frozen=True)
-class StoppedPath:
-    """Time-extended path whose spatial coordinates freeze at stop_time while
-    the time coordinate keeps running."""
-
-    base: PiecewiseLinearPath
-    stop_time: float
-
-
 def time_extend_values(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Prepend the running time as coordinate 0 of breakpoint values
     (..., K, d) on the shared partition `times` (K,); returns (..., K, d + 1)."""
@@ -149,12 +137,6 @@ def time_extend_values(times: np.ndarray, values: np.ndarray) -> np.ndarray:
 def time_extend(path: PiecewiseLinearPath) -> PiecewiseLinearPath:
     """Prepend the running time as coordinate 0; same partition."""
     return PiecewiseLinearPath(path.times, time_extend_values(path.times, path.values))
-
-
-def _is_time_extended(path: PiecewiseLinearPath) -> bool:
-    return path.dim >= 2 and np.allclose(
-        path.values[:, 0], path.times, rtol=0.0, atol=1e-9 * max(path.T, 1.0)
-    )
 
 
 def insert_breakpoint(path: PiecewiseLinearPath, t: float) -> PiecewiseLinearPath:
@@ -267,34 +249,6 @@ def weight(
     return float(np.exp(beta * holder_norm(path, alpha) ** gamma))
 
 
-def stop(path: PiecewiseLinearPath, t: float) -> StoppedPath:
-    """Stop the spatial coordinates of a time-extended path at time t."""
-    if not _is_time_extended(path):
-        raise ValueError("stop requires a time-extended path")
-    if not 0.0 <= t <= path.T:
-        raise ValueError(f"stop time {t} outside [0, {path.T}]")
-    return StoppedPath(path, float(t))
-
-
-def materialize(stopped: StoppedPath) -> PiecewiseLinearPath:
-    """Stopped path on the base partition (plus the stop breakpoint)."""
-    base, t = stopped.base, stopped.stop_time
-    if t == base.T:
-        return PiecewiseLinearPath(base.times.copy(), base.values.copy())
-    frozen = base.eval(t)[1:]
-    pos = np.searchsorted(base.times, t)
-    if pos < base.times.size and base.times[pos] == t:
-        times = base.times.copy()
-    else:
-        times = np.insert(base.times, pos, t)
-    values = np.empty((times.size, base.dim))
-    values[:, 0] = times
-    before = times <= t
-    values[before, 1:] = base.eval(times[before])[:, 1:]
-    values[~before, 1:] = frozen
-    return PiecewiseLinearPath(times, values)
-
-
 # -- CSV interchange -----------------------------------------------------------
 
 
@@ -326,6 +280,10 @@ def read_path_csv(source) -> PiecewiseLinearPath:
             row = [float(p) for p in parts]
         except ValueError:
             raise PathFormatError(f"line {line_no}: non-numeric value") from None
+        if not math.isfinite(row[0]):
+            raise PathFormatError(f"line {line_no}: non-finite partition time")
+        if not all(map(math.isfinite, row[1:])):
+            raise PathFormatError(f"line {line_no}: non-finite path value")
         times.append(row[0])
         values.append(row[1:])
     if len(times) < 2:
@@ -336,10 +294,9 @@ def read_path_csv(source) -> PiecewiseLinearPath:
         raise PathFormatError(
             f"line {rows[2 + bad][0]}: non-increasing time column"
         )
-    try:
-        return PiecewiseLinearPath(t_arr, np.asarray(values))
-    except ValueError as err:
-        raise PathFormatError(f"line {header_no}: {err}") from None
+    if t_arr[0] != 0.0:
+        raise PathFormatError(f"line {rows[1][0]}: partition must start at 0")
+    return PiecewiseLinearPath(t_arr, np.asarray(values))
 
 
 def write_path_csv(path: PiecewiseLinearPath, target) -> None:

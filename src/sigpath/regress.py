@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import nearest_breakpoints
 from .signature import LinearFunctional, stream_table
 from .tensor import total_entries
 from .words import all_words
@@ -22,7 +21,6 @@ from .words import all_words
 __all__ = [
     "FeatureMatrix",
     "FitReport",
-    "build_features",
     "features_from_values",
     "fit",
     "lp_error",
@@ -82,56 +80,26 @@ class FeatureMatrix:
 
 
 def features_from_values(
-    times: np.ndarray,
-    values: np.ndarray,
-    level: int,
-    mode: str = "terminal",
-    eval_idx=None,
+    times: np.ndarray, values: np.ndarray, level: int, mode: str = "terminal"
 ) -> FeatureMatrix:
     """Build features for a batch of paths sharing one partition.
 
     values : (B, K, d) absolute breakpoint values; the features are the
     signature coordinates of the time-extended paths (dim d + 1, letter 0
-    is time).
+    is time), at the last breakpoint in terminal mode and at every
+    breakpoint, with trapezoid weights, in stopped mode.
     """
     values = np.asarray(values, dtype=float)
     times = np.asarray(times, dtype=float)
     n_pts, d = values.shape[1:]
     if mode not in ("terminal", "stopped"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "terminal":
-        eval_idx = [n_pts - 1]
-    elif eval_idx is None:
-        eval_idx = np.arange(n_pts)
-    eval_idx = np.asarray(eval_idx, dtype=int)
+    stopped = mode == "stopped"
     # an overflow surfaces as FeatureMatrix's non-finite entry error
     with np.errstate(over="ignore", invalid="ignore"):
-        table = stream_table(times, values, level, eval_idx=eval_idx)
-    weights = trapezoid_weights(times[eval_idx]) if mode == "stopped" else None
+        table = stream_table(times, values, level, eval_idx=None if stopped else [n_pts - 1])
+    weights = trapezoid_weights(times) if stopped else None
     return FeatureMatrix(table, d + 1, level, weights)
-
-
-def build_features(paths, level: int, mode: str = "terminal", eval_times=None) -> FeatureMatrix:
-    """features_from_values on a list of paths sharing one partition (their
-    own coordinates; time is added as letter 0).
-
-    In stopped mode rows are taken at the breakpoints nearest eval_times
-    (exact when the eval times are partition points).
-    """
-    if not paths:
-        raise ValueError("need at least one path")
-    times = paths[0].times
-    for path in paths:
-        if not np.array_equal(path.times, times):
-            raise ValueError("paths must share one partition")
-    eval_idx = None
-    if eval_times is not None:
-        eval_times = np.asarray(eval_times, dtype=float)
-        if (eval_times < times[0]).any() or (eval_times > times[-1]).any():
-            raise ValueError("eval time outside the path horizon")
-        eval_idx = np.unique(nearest_breakpoints(times, eval_times))
-    values = np.stack([path.values for path in paths])
-    return features_from_values(times, values, level, mode, eval_idx)
 
 
 @dataclass

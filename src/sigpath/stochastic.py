@@ -17,28 +17,22 @@ from typing import Callable
 
 import numpy as np
 
-from .paths import (
-    PiecewiseLinearPath,
-    dyadic_times,
-    nearest_breakpoints,
-)
+from .paths import nearest_breakpoints
 from .signature import LinearFunctional
 
 __all__ = [
-    "BrownianLattice",
     "VectorField",
-    "OdeBlowupError",
-    "sample_brownian",
     "sample_brownian_batch",
-    "interpolate",
     "make_vector_field",
-    "solve_ode_pl",
     "solve_ode_batch",
     "sde_exact_gbm",
     "stratonovich_reference",
 ]
 
+# Bounds of the key layout (_event_words): positions of a depth-MAX_DEPTH
+# lattice and coordinates below MAX_DIM each keep their own bits of the word.
 MAX_DEPTH = 24
+MAX_DIM = 2**8
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -131,28 +125,6 @@ def standard_normal(keys) -> np.ndarray:
     return out.reshape(keys.shape)
 
 
-@dataclass(frozen=True)
-class BrownianLattice:
-    """Brownian values on the finest dyadic grid of one sample path."""
-
-    seed: int
-    sample_index: int
-    d: int
-    T: float
-    n_max: int
-    values: np.ndarray  # (2**n_max + 1, d)
-
-    @property
-    def times(self) -> np.ndarray:
-        return dyadic_times(self.T, self.n_max)
-
-    def restrict(self, depth: int) -> np.ndarray:
-        if depth > self.n_max:
-            raise ValueError(f"depth {depth} exceeds n_max {self.n_max}")
-        stride = 2 ** (self.n_max - depth)
-        return self.values[::stride]
-
-
 def sample_brownian_batch(seed, sample_indices, d, T, n_max) -> np.ndarray:
     """Brownian lattices for several sample indices; shape (B, 2**n_max+1, d).
 
@@ -164,8 +136,8 @@ def sample_brownian_batch(seed, sample_indices, d, T, n_max) -> np.ndarray:
     """
     if n_max > MAX_DEPTH:
         raise ValueError(f"n_max {n_max} exceeds {MAX_DEPTH}")
-    if n_max < 0 or d < 1 or T <= 0:
-        raise ValueError("need n_max >= 0, d >= 1, T > 0")
+    if n_max < 0 or not 1 <= d <= MAX_DIM or T <= 0:
+        raise ValueError(f"need n_max >= 0, 1 <= d <= {MAX_DIM}, T > 0")
     samples = np.asarray(sample_indices, dtype=np.int64)
     if (samples < 0).any() or int(seed) < 0:
         raise ValueError("seed and sample indices must be non-negative")
@@ -197,21 +169,7 @@ def sample_brownian_batch(seed, sample_indices, d, T, n_max) -> np.ndarray:
     return w
 
 
-def sample_brownian(seed, sample_index, d, T, n_max) -> BrownianLattice:
-    values = sample_brownian_batch(seed, [sample_index], d, T, n_max)[0]
-    return BrownianLattice(int(seed), int(sample_index), d, float(T), n_max, values)
-
-
-def interpolate(lattice: BrownianLattice, depth: int) -> PiecewiseLinearPath:
-    """Piecewise linear interpolation along the depth-n dyadic partition."""
-    return PiecewiseLinearPath(dyadic_times(lattice.T, depth), lattice.restrict(depth))
-
-
 # -- vector fields and the segment ODE ----------------------------------------
-
-
-class OdeBlowupError(RuntimeError):
-    """Non-finite state during ODE integration."""
 
 
 @dataclass(frozen=True)
@@ -306,24 +264,6 @@ def solve_ode_batch(times, raw_values, vf: VectorField, y0, substeps: int):
             blown |= bad
         out[..., k + 1, :] = y
     return out, blown
-
-
-def solve_ode_pl(
-    driver: PiecewiseLinearPath, vf: VectorField, y0, substeps: int = 4
-) -> np.ndarray:
-    """Solve dY = mu dt + sigma dX along one time-extended driver; returns Y
-    at every driver breakpoint, shape (K, m)."""
-    if driver.dim != vf.d + 1:
-        raise ValueError(
-            f"driver has {driver.dim - 1} spatial coordinates, field wants {vf.d}"
-        )
-    raw = driver.values[:, 1:]
-    y, blown = solve_ode_batch(driver.times, raw, vf, y0, substeps)
-    if blown:
-        finite = np.isfinite(y).all(axis=-1)
-        first_bad = int(np.argmin(finite)) if not finite.all() else driver.n_segments
-        raise OdeBlowupError(f"non-finite state near segment {first_bad}")
-    return y
 
 
 def sde_exact_gbm(times, values, a: float, b: float, y0: float) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 These deliberately avoid the library's own kernels: iterated integrals are
 done by cumulative Riemann-Stieltjes sums on a dense grid, signature streams
-by one dense Chen product per breakpoint, Hoelder norms by explicit pairwise
-maxima or a plain lag loop (also over a refined grid), shuffles by
-enumerating interleavings, products of one-dimensional tensors by series
-convolution, and minimum-norm least squares by scipy's own LAPACK binding.
+by one dense Chen product per breakpoint in local tensor arithmetic, Hoelder
+norms by explicit pairwise maxima or a plain lag loop (also over a refined
+grid), shuffles by enumerating interleavings, products of one-dimensional
+tensors by series convolution, and minimum-norm least squares by scipy's own
+LAPACK binding.
 """
 
 import itertools
@@ -26,31 +27,55 @@ def iterated_integral_riemann(path, word, n_grid=1000):
     return float(f[-1])
 
 
+def _segment_exp(increment, level):
+    """Level-n blocks incr^(x n) / n! of one segment's exponential, each
+    level the outer product of the last with incr / n."""
+    m = increment.shape[-1]
+    batch = increment.shape[:-1]
+    blocks = [np.ones(batch + (1,))]
+    for n in range(1, level + 1):
+        nxt = np.einsum("...i,...j->...ij", blocks[-1], increment / n)
+        blocks.append(nxt.reshape(batch + (m**n,)))
+    return blocks
+
+
+def _chen_product(a, b, m):
+    """Truncated tensor product of block lists: level n is the sum over
+    k = 0..n, in that order, of the outer products a[k] (x) b[n - k]."""
+    out = []
+    for n in range(len(a)):
+        acc = None
+        for k in range(n + 1):
+            term = np.einsum("...i,...j->...ij", a[k], b[n - k])
+            term = term.reshape(term.shape[:-2] + (m**n,))
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return out
+
+
 def chen_stream_oracle(values, level, eval_idx=None):
     """Signature stream of the piecewise linear path(s) through `values`
     (..., K, m) by one dense Chen product per breakpoint, rows at eval_idx
     (default: all K): the loop the word-stream kernel behind
-    `signature.stream_table` must match bit for bit."""
-    from sigpath.signature import segment_exp_blocks
-    from sigpath.tensor import flatten_blocks, mul_blocks, total_entries, unit_blocks
-
+    `signature.stream_table` must match bit for bit.  Its tensor arithmetic
+    is local, so a fault in the library's block kernels cannot reach it."""
     values = np.asarray(values, dtype=float)
     n_pts, m = values.shape[-2], values.shape[-1]
     batch = values.shape[:-2]
     eval_idx = np.arange(n_pts) if eval_idx is None else np.asarray(eval_idx, dtype=int)
-    width = total_entries(m, level)
-    out = np.empty(batch + (eval_idx.size, width))
+    out = np.empty(batch + (eval_idx.size, sum(m**n for n in range(level + 1))))
     keep = np.full(n_pts, -1, dtype=int)
     keep[eval_idx] = np.arange(eval_idx.size)
 
-    cur = unit_blocks(m, level, batch)
+    cur = [np.zeros(batch + (m**n,)) for n in range(level + 1)]
+    cur[0][..., 0] = 1.0
     if keep[0] >= 0:
-        out[..., keep[0], :] = flatten_blocks(cur)
+        out[..., keep[0], :] = np.concatenate(cur, axis=-1)
     for k in range(n_pts - 1):
         incr = values[..., k + 1, :] - values[..., k, :]
-        cur = mul_blocks(cur, segment_exp_blocks(incr, level), m)
+        cur = _chen_product(cur, _segment_exp(incr, level), m)
         if keep[k + 1] >= 0:
-            out[..., keep[k + 1], :] = flatten_blocks(cur)
+            out[..., keep[k + 1], :] = np.concatenate(cur, axis=-1)
     return out
 
 

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import math
 import os
@@ -201,6 +202,8 @@ def test_config_errors_exit_2(tmp_path):
         {"kind": "levy", "d": 1},
         {"kind": "mystery"},
         {"kind": "sig"},  # not an experiment kind; `sigpath sig` prints one
+        # coordinate 256 would share the Brownian keys of coordinate 0
+        {"kind": "moments", "d": 257, "depths": [2], "n_samples": 10},
     ]
     for i, payload in enumerate(bad):
         cfg = write_config(tmp_path, f"bad{i}.json", payload)
@@ -273,11 +276,11 @@ def test_bad_out_exits_2_before_the_run(tmp_path, monkeypatch, case):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
 
 
-# Tiny valid values per config key: no config drawn here asks for more than
-# 40 paths on a 2^14 lattice (levy's default n_max).
+# Tiny values per config key, all valid but the huge d: no config drawn here
+# asks for more than 40 paths on a 2^14 lattice (levy's default n_max).
 CONFIG_FIELDS = {
     "seed": st.integers(0, 2**64 - 1),
-    "d": st.integers(1, 2),
+    "d": st.one_of(st.integers(1, 2), st.sampled_from([257, 10**12])),
     "T": st.sampled_from([0.5, 1.0, 2.5, 1e100]),
     "depths": st.lists(st.integers(0, 6), min_size=1, max_size=2),
     "levels": st.lists(st.integers(1, 3), min_size=1, max_size=2),
@@ -297,8 +300,8 @@ CONFIG_FIELDS = {
     "n_max": st.integers(0, 10),
 }
 # Mistyped and out-of-range values; no large integer, since a valid huge
-# n_samples or d would be accepted and allocated (m allocates nothing: it is
-# recorded only, so CONFIG_FIELDS draws a huge one).
+# n_samples would be accepted and allocated (CONFIG_FIELDS draws huge d and m:
+# d above 256 is rejected before any allocation, and m is recorded only).
 BAD_VALUES = st.sampled_from(
     ["x", "8", -1, 0, 2.5, True, None, [], [-1], [2.5], {}, float("nan"), "mystery"]
 )
@@ -492,6 +495,14 @@ def test_run_path_without_ridge_never_imports_scipy(tmp_path):
     assert results[:-1] == [[0, False]] * (len(payloads) - 1)
     # a ridge fit imports it on first use and runs
     assert results[-1][0] == 0
+
+
+def test_every_public_name_resolves():
+    # a stale __all__ entry would otherwise break only `from ... import *`
+    for name in ("tensor", "words", "paths", "signature", "stochastic", "regress", "experiments"):
+        module = importlib.import_module(f"sigpath.{name}")
+        missing = [n for n in module.__all__ if not hasattr(module, n)]
+        assert not missing, (name, missing)
 
 
 def test_levy_time_coordinate_distance_is_zero():

@@ -289,40 +289,17 @@ def test_weight_at_least_one_for_time_extended():
         assert pth.weight(hat, 0.4, beta=0.05) > 1.0
 
 
-def test_stop_and_materialize_examples():
-    rng = np.random.default_rng(7)
-    hat = pth.time_extend(random_pl_path(rng, 6, 1))
-
-    full = pth.materialize(pth.stop(hat, hat.T))
-    assert np.array_equal(full.times, hat.times)
-    assert np.array_equal(full.values, hat.values)
-
-    flat = pth.materialize(pth.stop(hat, 0.0))
-    assert np.array_equal(flat.values[:, 0], flat.times)
-    assert (flat.values[:, 1] == hat.values[0, 1]).all()
-
-    t_mid = 0.37 * hat.T
-    frozen = pth.materialize(pth.stop(hat, t_mid))
-    assert t_mid in frozen.times
-    after = frozen.times > t_mid
-    assert np.allclose(frozen.values[after, 1], hat.eval(t_mid)[1])
-    assert np.array_equal(frozen.values[:, 0], frozen.times)
-
-    with pytest.raises(ValueError):
-        pth.stop(hat, hat.T + 1.0)
-    with pytest.raises(ValueError):
-        pth.stop(random_pl_path(rng, 3, 1), 0.5)  # not time-extended
-
-
 def test_stopped_holder_sup_attained_at_full_horizon():
     rng = np.random.default_rng(19)
     for _ in range(3):
         hat = pth.time_extend(random_pl_path(rng, 8, 1))
         base = pth.holder_norm(hat, 0.4)
-        stopped = [
-            pth.holder_norm(pth.materialize(pth.stop(hat, t)), 0.4)
-            for t in hat.times
-        ]
+        stopped = []
+        for k in range(hat.times.size):
+            # the spatial coordinate freezes at breakpoint k, time runs on
+            v = hat.values.copy()
+            v[k + 1 :, 1:] = v[k, 1:]
+            stopped.append(pth.holder_norm(pth.PiecewiseLinearPath(hat.times, v), 0.4))
         assert stopped[-1] == pytest.approx(base, rel=1e-12)
         assert max(stopped) >= base
         assert max(stopped) <= 1.1 * base
@@ -351,3 +328,9 @@ def test_csv_errors_carry_line_numbers():
         pth.read_path_csv(io.StringIO("t,x1\n0,0\n1,oops\n"))
     with pytest.raises(pth.PathFormatError, match="fields"):
         pth.read_path_csv(io.StringIO("t,x1\n0,0\n1,1,2\n"))
+    with pytest.raises(pth.PathFormatError, match="line 3"):
+        pth.read_path_csv(io.StringIO("t,x1\n0,0\n1,inf\n2,3"))
+    with pytest.raises(pth.PathFormatError, match="line 4"):
+        pth.read_path_csv(io.StringIO("t,x1\n0,0\n1,1\ninf,3"))
+    with pytest.raises(pth.PathFormatError, match="line 2"):
+        pth.read_path_csv(io.StringIO("t,x1\n1,0\n2,1\n"))

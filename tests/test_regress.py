@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import sigpath.regress as rg
 from sigpath.paths import PiecewiseLinearPath, dyadic_times, time_extend
-from sigpath.signature import LinearFunctional, signature
+from sigpath.signature import LinearFunctional, signature, signature_stream
 from sigpath.stochastic import sample_brownian_batch
 from sigpath.tensor import total_entries
 from sigpath.words import all_words
@@ -31,27 +31,20 @@ def _train_rows(feats, split_seed):
 
 def test_terminal_features_of_single_line():
     line = PiecewiseLinearPath([0.0, 2.0], [[0.0], [3.0]])
-    feats = rg.build_features([line], 1, mode="terminal")
+    feats = rg.features_from_values(line.times, line.values[None], 1, "terminal")
     assert np.allclose(feats.matrix, [[1.0, 2.0, 3.0]])
     assert feats.words == [(), (0,), (1,)]
 
 
 def test_stopped_time_columns():
     const = PiecewiseLinearPath([0, 0.25, 0.5, 1.0], [[0.0]] * 4)
-    feats = rg.build_features([const], 2, mode="stopped")
+    feats = rg.features_from_values(const.times, const.values[None], 2, "stopped")
     words = feats.words
     t_col = feats.matrix[:, words.index((0,))]
     tt_col = feats.matrix[:, words.index((0, 0))]
     assert np.allclose(t_col, const.times, atol=1e-12)
     assert np.allclose(tt_col, const.times**2 / 2.0, atol=1e-12)
     assert np.allclose(np.sum(feats.time_weights), const.T)
-
-
-def test_stopped_eval_times_snap_to_breakpoints():
-    const = PiecewiseLinearPath([0, 0.25, 0.5, 1.0], [[0.0]] * 4)
-    feats = rg.build_features([const], 1, mode="stopped", eval_times=[0.26, 0.9])
-    t_col = feats.matrix[:, 1]
-    assert np.allclose(t_col, [0.25, 1.0])
 
 
 def test_feature_matrix_invariants():
@@ -182,36 +175,18 @@ def test_lp_error_exact_functional_is_zero():
     assert rg.lp_error(functional, feats, y, 2.0) <= 1e-12
 
 
-def test_build_features_requires_common_partition():
-    a = PiecewiseLinearPath([0, 1], [[0.0], [1.0]])
-    b = PiecewiseLinearPath([0, 0.5, 1], [[0.0], [1.0], [2.0]])
-    with pytest.raises(ValueError):
-        rg.build_features([a, b], 2)
-
-
-def test_build_features_equals_features_from_values():
+def test_feature_rows_are_time_extended_single_path_signatures():
+    # bit for bit: the terminal rows are the signatures and the stopped rows
+    # the signature streams of the time-extended paths
     times = dyadic_times(1.0, 3)
     values = sample_brownian_batch(9, np.arange(5), 2, 1.0, 3)
     paths = [PiecewiseLinearPath(times, v) for v in values]
-    cases = [
-        ("terminal", None, None),
-        ("stopped", None, None),
-        # nearest breakpoints 0.125, 0.25, 0.25, 0.75
-        ("stopped", [0.1, 0.3, 0.3, 0.74], [1, 2, 6]),
-    ]
-    for mode, eval_times, eval_idx in cases:
-        built = rg.build_features(paths, 3, mode, eval_times)
-        direct = rg.features_from_values(times, values, 3, mode, eval_idx)
-        assert built.n_samples == direct.n_samples == len(paths)
-        for field in ("table", "time_weights"):
-            assert np.array_equal(
-                getattr(built, field), getattr(direct, field)
-            ), (mode, eval_times, field)
-    # and the batched rows are the time-extended single-path signatures,
-    # bit for bit
-    terminal = rg.build_features(paths, 3, "terminal").matrix
+    terminal = rg.features_from_values(times, values, 3, "terminal").table
     singles = [signature(time_extend(p), 3).flat() for p in paths]
-    assert np.array_equal(terminal, np.stack(singles))
+    assert np.array_equal(terminal, np.stack(singles)[:, None])
+    stopped = rg.features_from_values(times, values, 3, "stopped").table
+    streams = [signature_stream(time_extend(p), 3).table for p in paths]
+    assert np.array_equal(stopped, np.stack(streams))
 
 
 @st.composite

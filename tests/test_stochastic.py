@@ -4,24 +4,21 @@ import numpy as np
 import pytest
 
 import sigpath.stochastic as sto
-from sigpath.paths import (
-    PiecewiseLinearPath,
-    dyadic_times,
-    time_extend,
-)
+from sigpath.paths import dyadic_times
 from sigpath.signature import LinearFunctional, levy_area_functional
 
 
 def test_lattice_starts_at_zero():
     for seed in (0, 1, 99):
-        lat = sto.sample_brownian(seed, 0, 2, 1.0, 5)
-        assert (lat.values[0] == 0.0).all()
+        w = sto.sample_brownian_batch(seed, [0], 2, 1.0, 5)[0]
+        assert (w[0] == 0.0).all()
 
 
 def test_nested_restriction_is_bit_identical():
     deep = sto.sample_brownian_batch(7, [0, 1, 2], 2, 1.0, 10)
-    shallow = sto.sample_brownian_batch(7, [0, 1, 2], 2, 1.0, 6)
-    assert np.array_equal(deep[:, ::16, :], shallow)
+    for depth in (0, 6):
+        shallow = sto.sample_brownian_batch(7, [0, 1, 2], 2, 1.0, depth)
+        assert np.array_equal(deep[:, :: 2 ** (10 - depth), :], shallow)
 
 
 def test_sampling_is_reproducible_and_index_addressed():
@@ -38,7 +35,7 @@ def test_blocked_batch_matches_single_paths_and_deeper_lattice(d):
     for batch in (rows - 1, rows, rows + 1):
         idx = np.arange(batch) + 3
         w = sto.sample_brownian_batch(9, idx, d, 1.5, n_max)
-        singles = [sto.sample_brownian(9, i, d, 1.5, n_max).values for i in idx]
+        singles = [sto.sample_brownian_batch(9, [i], d, 1.5, n_max)[0] for i in idx]
         assert np.array_equal(w, np.stack(singles))
         deep = sto.sample_brownian_batch(9, idx, d, 1.5, n_max + 1)
         assert np.array_equal(deep[:, ::2, :], w)
@@ -75,72 +72,55 @@ def test_disjoint_increments_nearly_uncorrelated():
 
 def test_rejects_bad_depth():
     with pytest.raises(ValueError):
-        sto.sample_brownian(0, 0, 1, 1.0, 25)
-
-
-def test_interpolate_examples():
-    lat = sto.sample_brownian(11, 0, 2, 1.0, 6)
-
-    seg = sto.interpolate(lat, 0)
-    assert seg.n_segments == 1
-    assert np.array_equal(seg.values[-1], lat.values[-1])
-
-    path = sto.interpolate(lat, 6)
-    assert np.array_equal(path.eval(path.times), lat.values)
-
-    coarse = sto.interpolate(lat, 3)
-    fine = sto.interpolate(lat, 6)
-    assert np.array_equal(coarse.values, fine.values[::8])
-
+        sto.sample_brownian_batch(0, [0], 1, 1.0, 25)
+    # d = 257 would give coordinate 256 the keys of coordinate 0
     with pytest.raises(ValueError):
-        sto.interpolate(lat, 7)
+        sto.sample_brownian_batch(0, [0], 257, 1.0, 2)
 
 
 def test_identity_field_reproduces_driver():
-    lat = sto.sample_brownian(5, 0, 1, 1.0, 6)
-    driver = time_extend(sto.interpolate(lat, 6))
+    w = sto.sample_brownian_batch(5, [0], 1, 1.0, 6)[0]
     vf = sto.make_vector_field("zero-drift-identity", d=1)
-    y = sto.solve_ode_pl(driver, vf, [0.0], substeps=2)
-    assert np.allclose(y[:, 0], lat.restrict(6)[:, 0], atol=1e-12)
+    y, _ = sto.solve_ode_batch(dyadic_times(1.0, 6), w, vf, [0.0], substeps=2)
+    assert np.allclose(y[:, 0], w[:, 0], atol=1e-12)
 
 
 def test_linear_field_matches_closed_form():
     rng = np.random.default_rng(0)
     times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.2, 10))])
     x = np.concatenate([[0.0], np.cumsum(rng.normal(0.0, 0.3, 10))])
-    driver = time_extend(PiecewiseLinearPath(times, x[:, None]))
     vf = sto.make_vector_field("linear", a=0.0, b=1.0)
-    y = sto.solve_ode_pl(driver, vf, [1.0], substeps=16)
+    y, _ = sto.solve_ode_batch(times, x[:, None], vf, [1.0], substeps=16)
     assert np.abs(y[:, 0] - np.exp(x)).max() <= 1e-8
 
 
 def test_rk4_order_via_richardson():
-    driver = time_extend(
-        PiecewiseLinearPath([0.0, 0.4, 1.0], [[0.0], [1.1], [0.3]])
-    )
+    times, x = [0.0, 0.4, 1.0], [[0.0], [1.1], [0.3]]
     vf = sto.make_vector_field("tanh-bounded")
-    ref = sto.solve_ode_pl(driver, vf, [0.7], substeps=512)[-1, 0]
-    err = [
-        abs(sto.solve_ode_pl(driver, vf, [0.7], substeps=s)[-1, 0] - ref)
-        for s in (2, 4)
-    ]
+
+    def terminal(substeps):
+        return sto.solve_ode_batch(times, x, vf, [0.7], substeps)[0][-1, 0]
+
+    ref = terminal(512)
+    err = [abs(terminal(s) - ref) for s in (2, 4)]
     assert 8.0 <= err[0] / err[1] <= 32.0  # fourth order: ratio near 16
 
 
 def test_ode_blowup_is_reported():
-    driver = time_extend(
-        PiecewiseLinearPath(np.arange(41.0), np.arange(0.0, 4100.0, 100.0)[:, None])
-    )
+    # per path, as run_regression's exclusions read it: a driver that blows
+    # up next to a tame one
+    times = np.arange(41.0)
+    drivers = np.stack([np.arange(0.0, 4100.0, 100.0), np.zeros(41)])[..., None]
     vf = sto.make_vector_field("linear", a=0.0, b=50.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(sto.OdeBlowupError, match="segment"):
-            sto.solve_ode_pl(driver, vf, [1.0], substeps=1)
+        y, blown = sto.solve_ode_batch(times, drivers, vf, [1.0], substeps=1)
+    assert blown.tolist() == [True, False]
+    assert np.isfinite(y).all()
 
 
 def test_gbm_examples():
-    lat = sto.sample_brownian(21, 0, 1, 1.0, 8)
     ts = dyadic_times(1.0, 4)
-    w = lat.restrict(4)
+    w = sto.sample_brownian_batch(21, [0], 1, 1.0, 8)[0, ::16]
 
     drifted = sto.sde_exact_gbm(ts, w, a=0.3, b=0.0, y0=2.0)
     assert np.allclose(drifted, 2.0 * np.exp(0.3 * ts))
@@ -164,22 +144,23 @@ def test_gbm_lognormal_mean():
 
 
 def test_reference_time_and_coordinate_functionals():
-    lat = sto.sample_brownian(41, 0, 1, 1.0, 8)
+    times = dyadic_times(1.0, 8)
+    w = sto.sample_brownian_batch(41, [0], 1, 1.0, 8)[0]
     ts = dyadic_times(1.0, 5)
 
     time_values = sto.stratonovich_reference(
-        lat.times, lat.values, LinearFunctional(2, 1, {(0,): 1.0}), ts
+        times, w, LinearFunctional(2, 1, {(0,): 1.0}), ts
     )
     assert np.allclose(time_values, ts, atol=1e-12)
 
     coord = sto.stratonovich_reference(
-        lat.times, lat.values, LinearFunctional(2, 1, {(1,): 1.0}), ts
+        times, w, LinearFunctional(2, 1, {(1,): 1.0}), ts
     )
-    assert np.allclose(coord, lat.restrict(5)[:, 0], atol=1e-12)
+    assert np.allclose(coord, w[::8, 0], atol=1e-12)
 
     with pytest.raises(ValueError):
         sto.stratonovich_reference(
-            lat.times, lat.values, LinearFunctional(2, 1, {(0,): 1.0}), [2.0]
+            times, w, LinearFunctional(2, 1, {(0,): 1.0}), [2.0]
         )
 
 
@@ -188,17 +169,17 @@ def test_reference_self_consistency_across_depths():
     n = 100
     ts = dyadic_times(1.0, 4)
     area = levy_area_functional()
-    gap_ref = []
-    gap_coarse = []
-    for i in range(n):
-        lat10 = sto.sample_brownian(17, i, 2, 1.0, 10)
-        lat9 = sto.sample_brownian(17, i, 2, 1.0, 9)
-        lat4 = sto.sample_brownian(17, i, 2, 1.0, 4)
-        r10 = sto.stratonovich_reference(lat10.times, lat10.values, area, ts)
-        r9 = sto.stratonovich_reference(lat9.times, lat9.values, area, ts)
-        r4 = sto.stratonovich_reference(lat4.times, lat4.values, area, ts)
-        gap_ref.append(np.mean((r10 - r9) ** 2))
-        gap_coarse.append(np.mean((r10 - r4) ** 2))
+    r10, r9, r4 = (
+        sto.stratonovich_reference(
+            dyadic_times(1.0, depth),
+            sto.sample_brownian_batch(17, np.arange(n), 2, 1.0, depth),
+            area,
+            ts,
+        )
+        for depth in (10, 9, 4)
+    )
+    gap_ref = np.mean((r10 - r9) ** 2, axis=-1)
+    gap_coarse = np.mean((r10 - r4) ** 2, axis=-1)
     assert np.sqrt(np.mean(gap_ref)) < 0.5 * np.sqrt(np.mean(gap_coarse))
 
 
