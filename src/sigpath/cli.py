@@ -16,6 +16,7 @@ import numpy as np
 from .experiments import ConfigError, ExperimentConfig, NumericalError, run_config
 from .paths import PathFormatError, read_path_csv, time_extend
 from .signature import signature
+from .tensor import MAX_WORDS, exceeds_max_words
 
 
 def _cmd_sig(args) -> int:
@@ -25,6 +26,8 @@ def _cmd_sig(args) -> int:
         level = 4 if path.dim == 1 else 3
     elif level < 0:
         raise ConfigError(f"--level must be >= 0, got {level}")
+    if exceeds_max_words(path.dim + 1, level):
+        raise ConfigError(f"--level {level} exceeds {MAX_WORDS} signature coordinates")
     sig = signature(time_extend(path), level)
     payload = {
         "dim": sig.dim,

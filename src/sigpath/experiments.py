@@ -33,6 +33,7 @@ from .stochastic import (
     solve_ode_batch,
     stratonovich_reference,
 )
+from .tensor import MAX_WORDS, exceeds_max_words
 
 __all__ = [
     "ConfigError",
@@ -220,6 +221,8 @@ class ExperimentConfig:
         if c.kind in ("functional", "ode", "sde"):
             if not c.levels or any(lv < 1 for lv in c.levels):
                 raise ConfigError("levels must all be >= 1")
+            if exceeds_max_words(c.d + 1, max(c.levels)):
+                raise ConfigError(f"levels exceed {MAX_WORDS} signature features")
         if c.kind == "functional" and c.target not in FUNCTIONAL_TARGETS:
             raise ConfigError(f"unknown target {c.target!r}")
         if c.kind == "ode":

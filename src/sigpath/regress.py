@@ -1,15 +1,15 @@
 """Least-squares fitting of linear functionals on signature features and
 empirical L^p error evaluation.
 
-Fitting always minimizes the ridge-regularized squared loss; the reported
-errors honor the configured p.  Features are never standardized so fitted
-coefficients keep their algebraic meaning (e.g. the coefficient 2 on the
-word (1,1) for a squared terminal value).
+Fitting minimizes the squared loss: ridge-regularized for lam > 0 (or
+unset), minimum-norm for lam = 0; the reported errors honor the configured
+p.  Features are never standardized so fitted coefficients keep their
+algebraic meaning (e.g. the coefficient 2 on the word (1,1) for a squared
+terminal value).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,11 +175,11 @@ def fit(
     of length <= level (default: the features' level): a column prefix,
     whose training rows are copied to one C-contiguous matrix.
 
-    Ridge solves the regularized normal equations by Cholesky
-    (`scipy.linalg.solve(..., assume_a="pos")`; scipy is imported on this
-    branch only). Minimum-norm fits run LAPACK `gelsd` through
-    `np.linalg.lstsq` with the singular-value cutoff rcond = 1e-10, so a
-    run with lam = 0 never loads scipy's second BLAS runtime.
+    Ridge solves the regularized normal equations with `np.linalg.solve`
+    (LU); a singular system raises `np.linalg.LinAlgError`, and an
+    ill-conditioned one shows in gram_eig_min and gram_eig_max. Minimum-norm
+    fits run LAPACK `gelsd` through `np.linalg.lstsq` with the singular-value
+    cutoff rcond = 1e-10.
 
     lam = None selects the scale-aware default 1e-8 * trace(X'X) / n_cols;
     the split is seeded, so reruns are bit-identical. Overflow does not
@@ -218,12 +218,7 @@ def fit(
 
     rank_deficient = False
     if lam > 0.0:
-        import scipy.linalg
-
-        # an ill-conditioned solve shows in gram_eig_min and gram_eig_max
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            beta = scipy.linalg.solve(lhs, xty, assume_a="pos")
+        beta = np.linalg.solve(lhs, xty)
     else:
         # drop directions collinear to within the precision of the feature
         # computation itself; keeping them blows up the minimum-norm solution

@@ -42,6 +42,17 @@ def total_entries(dim: int, level: int) -> int:
     return (dim ** (level + 1) - 1) // (dim - 1)
 
 
+# Most signature coordinates a run or `sigpath sig` may ask for: a fit's
+# D x D gram then stays within 128 MiB.
+MAX_WORDS = 2**12
+
+
+def exceeds_max_words(dim: int, level: int) -> bool:
+    """Whether total_entries(dim, level) > MAX_WORDS, without raising dim to
+    a huge level."""
+    return level >= MAX_WORDS or total_entries(dim, level) > MAX_WORDS
+
+
 # -- block kernels -----------------------------------------------------------
 
 

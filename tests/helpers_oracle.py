@@ -5,8 +5,8 @@ done by cumulative Riemann-Stieltjes sums on a dense grid, signature streams
 by one dense Chen product per breakpoint in local tensor arithmetic, Hoelder
 norms by explicit pairwise maxima or a plain lag loop (also over a refined
 grid), shuffles by enumerating interleavings, products of one-dimensional
-tensors by series convolution, and minimum-norm least squares by scipy's own
-LAPACK binding.
+tensors by series convolution, and minimum-norm and ridge least squares by
+scipy's own LAPACK bindings.
 """
 
 import itertools
@@ -151,6 +151,21 @@ def lstsq_oracle(X_tr, y_tr):
 
     beta, _, rank, _ = scipy.linalg.lstsq(X_tr, y_tr, cond=1e-10)
     return beta, int(rank)
+
+
+def ridge_oracle(lhs, xty):
+    """Ridge coefficients through scipy's Cholesky solve of the regularized
+    normal equations: the solve `regress.fit` ran at lam > 0 before it moved
+    to `np.linalg.solve`."""
+    import warnings
+
+    import scipy.linalg
+
+    # the suite turns warnings into errors; fit reported ill-conditioning in
+    # gram_eig_min and gram_eig_max instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        return scipy.linalg.solve(lhs, xty, assume_a="pos")
 
 
 def series_product_1d(a, b):

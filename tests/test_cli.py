@@ -1,3 +1,4 @@
+import ast
 import csv
 import importlib
 import json
@@ -204,6 +205,10 @@ def test_config_errors_exit_2(tmp_path):
         {"kind": "sig"},  # not an experiment kind; `sigpath sig` prints one
         # coordinate 256 would share the Brownian keys of coordinate 0
         {"kind": "moments", "d": 257, "depths": [2], "n_samples": 10},
+        # 2**41 - 1 signature coordinates, rejected before any is enumerated
+        small_functional_config(levels=[40]),
+        # and without raising 2 to a huge power
+        small_functional_config(levels=[10**18]),
     ]
     for i, payload in enumerate(bad):
         cfg = write_config(tmp_path, f"bad{i}.json", payload)
@@ -245,8 +250,8 @@ def test_missing_config_file_exits_2(tmp_path):
 
 @pytest.mark.parametrize(
     "case",
-    ["negative-level", "non-utf8-config", "non-utf8-input", "dir-config",
-     "dir-input", "dir-out"],
+    ["negative-level", "huge-level", "non-utf8-config", "non-utf8-input",
+     "dir-config", "dir-input", "dir-out"],
 )
 def test_bad_cli_input_exits_2(tmp_path, case):
     csv = tmp_path / "line.csv"
@@ -256,6 +261,7 @@ def test_bad_cli_input_exits_2(tmp_path, case):
     binary.write_bytes("t,x1\n0,\u00e9\n".encode("latin-1"))
     argv = {
         "negative-level": ["sig", "--input", str(csv), "--level", "-1"],
+        "huge-level": ["sig", "--input", str(csv), "--level", "40"],
         "non-utf8-config": ["run", "--config", str(binary)],
         "non-utf8-input": ["sig", "--input", str(binary)],
         "dir-config": ["run", "--config", str(tmp_path)],
@@ -276,14 +282,17 @@ def test_bad_out_exits_2_before_the_run(tmp_path, monkeypatch, case):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
 
 
-# Tiny values per config key, all valid but the huge d: no config drawn here
-# asks for more than 40 paths on a 2^14 lattice (levy's default n_max).
+# Tiny values per config key, all valid but the huge d and level 40: no config
+# drawn here asks for more than 40 paths on a 2^14 lattice (levy's default
+# n_max).
 CONFIG_FIELDS = {
     "seed": st.integers(0, 2**64 - 1),
     "d": st.one_of(st.integers(1, 2), st.sampled_from([257, 10**12])),
     "T": st.sampled_from([0.5, 1.0, 2.5, 1e100]),
     "depths": st.lists(st.integers(0, 6), min_size=1, max_size=2),
-    "levels": st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    "levels": st.lists(
+        st.one_of(st.integers(1, 3), st.just(40)), min_size=1, max_size=2
+    ),
     "n_samples": st.integers(10, 40),
     "p": st.sampled_from([1, 2.0, 3.5]),
     "alpha": st.sampled_from([0.34, 0.4, 0.49]),
@@ -418,7 +427,7 @@ def test_moment_norms_scan_the_breakpoints_with_the_refined_bits(
 
 def test_singular_ridge_solve_exits_3(tmp_path):
     # lam = 1e-300 leaves the rank-deficient terminal gram singular, so the
-    # Cholesky solve raises numpy's LinAlgError
+    # LU solve raises numpy's LinAlgError
     cfg = write_config(
         tmp_path,
         "ridge.json",
@@ -460,28 +469,30 @@ def test_overflow_or_empty_run_exits_3(tmp_path, capsys, payload, message):
     assert not out.exists()
 
 
-# Runs tiny configs through `sigpath.cli.main` in a fresh interpreter; its
-# last stdout line lists, per config, the exit code and whether scipy had
-# been imported by then.
+# Runs tiny configs through `sigpath.cli.main` in a fresh interpreter where
+# importing scipy fails; its last stdout line lists, per config, the exit code
+# and whether a scipy module had been loaded by then.
 _SCIPY_PROBE = """
 import json, sys
+sys.modules["scipy"] = None
 sys.path.insert(0, sys.argv[1])
 from sigpath import cli
 results = []
 for path in sys.argv[2:]:
     code = cli.main(["run", "--config", path, "--out", path + ".csv"])
-    results.append([code, "scipy" in sys.modules])
+    results.append([code, sys.modules["scipy"] is not None])
 print(json.dumps(results))
 """
 
 
-def test_run_path_without_ridge_never_imports_scipy(tmp_path):
+def test_run_path_never_imports_scipy(tmp_path):
     payloads = [
         {"kind": "levy", "depths": [2, 3], "n_samples": 10, "n_max": 7},
         {"kind": "moments", "depths": [3], "n_samples": 10},
         small_functional_config(),
         {"kind": "ode", "depths": [3], "levels": [1, 2], "n_samples": 10, "lam": 0.0},
         {"kind": "sde", "depths": [3, 4], "levels": [2], "n_samples": 10, "lam": 0.0},
+        {"kind": "ode", "depths": [3], "levels": [1, 2], "n_samples": 10},
         small_functional_config(lam=1e-3),
     ]
     paths = [write_config(tmp_path, f"c{i}.json", p) for i, p in enumerate(payloads)]
@@ -491,10 +502,8 @@ def test_run_path_without_ridge_never_imports_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     results = json.loads(proc.stdout.splitlines()[-1])
-    # the minimum-norm, levy and moments runs keep scipy out of the process
-    assert results[:-1] == [[0, False]] * (len(payloads) - 1)
-    # a ridge fit imports it on first use and runs
-    assert results[-1][0] == 0
+    # every kind runs, the ridge fits (default lam and lam > 0) included
+    assert results == [[0, False]] * len(payloads)
 
 
 def test_every_public_name_resolves():
@@ -503,6 +512,23 @@ def test_every_public_name_resolves():
         module = importlib.import_module(f"sigpath.{name}")
         missing = [n for n in module.__all__ if not hasattr(module, n)]
         assert not missing, (name, missing)
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # function-local imports count too: a lazy import on a branch that no
+    # test takes still fails here
+    imported = set()
+    for source in (ROOT / "src" / "sigpath").glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert "numpy" in imported
+    assert imported - set(sys.stdlib_module_names) <= {"numpy", "sigpath"}
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == ["numpy"]
 
 
 def test_levy_time_coordinate_distance_is_zero():
@@ -580,7 +606,7 @@ def test_normal_eq_residual_beyond_the_square_range_stays_finite(tmp_path):
         tmp_path,
         "big.json",
         {"kind": "functional", "T": 1e100, "depths": [2], "levels": [1],
-         "n_samples": 10},
+         "n_samples": 20, "lam": 0.001, "seed": 1},
     )
     out = tmp_path / "big.csv"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0

@@ -11,7 +11,7 @@ from sigpath.signature import LinearFunctional, signature, signature_stream
 from sigpath.stochastic import sample_brownian_batch
 from sigpath.tensor import total_entries
 from sigpath.words import all_words
-from helpers_oracle import lstsq_oracle
+from helpers_oracle import lstsq_oracle, ridge_oracle
 
 
 def brownian_features(seed, n, depth, level, mode="terminal"):
@@ -190,7 +190,7 @@ def test_feature_rows_are_time_extended_single_path_signatures():
 
 
 @st.composite
-def min_norm_cases(draw):
+def fit_cases(draw):
     """Brownian features of dims 1-2 at levels 1-4 in terminal mode (rank-
     deficient from level 2: the pure-time words are constants) or stopped
     mode, from 10 paths (underdetermined) to a few hundred, with a target
@@ -211,7 +211,7 @@ def min_norm_cases(draw):
 
 
 @settings(deadline=None, max_examples=60)
-@given(min_norm_cases())
+@given(fit_cases())
 def test_min_norm_fit_matches_lstsq_oracle_bitwise(case):
     feats, y, split_seed, level = case
     report = rg.fit(feats, y, lam=0.0, split_seed=split_seed, level=level)
@@ -222,6 +222,26 @@ def test_min_norm_fit_matches_lstsq_oracle_bitwise(case):
     assert report.functional.level == level
     assert np.array_equal(got.view(np.uint64), beta.view(np.uint64))
     assert report.rank_deficient == (rank < width)
+
+
+@settings(deadline=None, max_examples=60)
+@given(fit_cases(), st.sampled_from([None, 1e-3]))
+def test_ridge_fit_matches_cholesky_oracle(case, lam):
+    feats, y, split_seed, level = case
+    report = rg.fit(feats, y, lam=lam, split_seed=split_seed, level=level)
+    train = _train_rows(feats, split_seed)
+    width = total_entries(feats.dim, level)
+    X = feats.matrix[:, :width]
+    lhs = X[train].T @ X[train] + report.lam * np.eye(width)
+    want = ridge_oracle(lhs, X[train].T @ y[train])
+    got = report.functional.coefficient_vector()
+    # two backward-stable solves of one system agree to its condition number
+    # times the rounding of width-term sums; the default lam leaves cond(lhs)
+    # near 1e10 on a few paths at d = 2, level 4
+    tol = max(1e-12, width * np.finfo(float).eps * np.linalg.cond(lhs))
+    assert np.abs(X @ got - X @ want).max() <= tol * max(1.0, np.abs(y).max())
+    if np.linalg.matrix_rank(X[train]) == width:
+        assert np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max())
 
 
 def _report_bits(report):
