@@ -74,6 +74,9 @@ MOMENTS_COLUMNS = [
 ]
 
 _LEVY_CHUNK = 500
+# Fine-lattice floats per levy slice: a chunk is sampled and streamed a slice
+# of paths at a time (at least one path), so no whole-chunk lattice is held.
+_LEVY_SLICE_FLOATS = 2**20
 _MOMENT_CHUNK = 2500
 
 _DEFAULTS_BY_KIND = {
@@ -382,29 +385,56 @@ def _upsample_dyadic(values: np.ndarray, gap: int) -> np.ndarray:
     return np.concatenate([dense, values[:, -1:, :]], axis=1)
 
 
+def _levy_slice_terms(cfg, functional, idx, depths, eval_times, weights, out):
+    """Write the weighted |delta|^p quadrature terms of the paths `idx` into
+    `out` (depths, paths, eval points): delta is each depth's interpolation
+    against the depth-n_max reference.  The slice's lattice and temporaries
+    die on return, before the next slice is sampled."""
+    eval_depth = depths[-1] + 1
+    fine_times = dyadic_times(cfg.T, cfg.n_max)
+    fine = sample_brownian_batch(cfg.seed, idx, 2, cfg.T, cfg.n_max)
+    ref_vals = stratonovich_reference(fine_times, fine, functional, eval_times)
+    for i, dep in enumerate(depths):
+        stride = 2 ** (cfg.n_max - dep)
+        coarse = _upsample_dyadic(fine[:, ::stride, :], eval_depth - dep)
+        delta = functional.apply_stream(eval_times, coarse) - ref_vals
+        with np.errstate(over="ignore"):  # rejected as a non-finite distance
+            out[i] = weights * np.abs(delta) ** cfg.p
+
+
 def run_levy(cfg: ExperimentConfig):
+    """Lp distance, per depth, between the levy target along each depth's
+    interpolation and along the depth-n_max reference, on one quadrature grid.
+
+    Paths run in chunks of _LEVY_CHUNK. A chunk is sampled and streamed in
+    slices of max(1, _LEVY_SLICE_FLOATS // (2 * 2**n_max)) paths (32 at
+    n_max 14, one word_streams block), so one slice's fine lattice is held at
+    a time. Each slice writes its quadrature terms into its rows of the
+    chunk's (depths, chunk, 2**eval_depth + 1) array `terms`; each depth then
+    adds the sum of its terms, chunk by chunk in order. Sampler, streams and
+    terms are per path, so the bits depend on _LEVY_CHUNK and that in-order
+    sum but not on the slice.
+    """
     functional = _levy_functional(cfg.target)
     depths = sorted(cfg.depths)
     # All depths are compared on one quadrature grid strictly finer than the
     # finest experiment depth (coordinate functionals have no error at their
     # own breakpoints); coarse paths are refined onto it without change.
-    eval_depth = depths[-1] + 1
-    eval_times = dyadic_times(cfg.T, eval_depth)
-    fine_times = dyadic_times(cfg.T, cfg.n_max)
+    eval_times = dyadic_times(cfg.T, depths[-1] + 1)
     weights = trapezoid_weights(eval_times)
+    n_slice = max(1, _LEVY_SLICE_FLOATS // (2 * 2**cfg.n_max))
     acc = {dep: 0.0 for dep in depths}
     t0 = time.perf_counter()
     for start in range(0, cfg.n_samples, _LEVY_CHUNK):
-        idx = np.arange(start, min(start + _LEVY_CHUNK, cfg.n_samples))
-        fine = sample_brownian_batch(cfg.seed, idx, 2, cfg.T, cfg.n_max)
-        ref_vals = stratonovich_reference(fine_times, fine, functional, eval_times)
-        for dep in depths:
-            stride = 2 ** (cfg.n_max - dep)
-            coarse = _upsample_dyadic(fine[:, ::stride, :], eval_depth - dep)
-            vals = functional.apply_stream(eval_times, coarse)
-            delta = vals - ref_vals
-            with np.errstate(over="ignore"):  # rejected as a non-finite distance
-                acc[dep] += float(np.sum(weights * np.abs(delta) ** cfg.p))
+        stop = min(start + _LEVY_CHUNK, cfg.n_samples)
+        terms = np.empty((len(depths), stop - start, eval_times.size))
+        for lo in range(start, stop, n_slice):
+            idx = np.arange(lo, min(lo + n_slice, stop))
+            rows = terms[:, lo - start : lo - start + idx.size]
+            _levy_slice_terms(cfg, functional, idx, depths, eval_times, weights, rows)
+        with np.errstate(over="ignore"):
+            for i, dep in enumerate(depths):
+                acc[dep] += float(np.sum(terms[i]))
     distances = {
         dep: (acc[dep] / cfg.n_samples) ** (1.0 / cfg.p) for dep in depths
     }

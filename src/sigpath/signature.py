@@ -112,9 +112,11 @@ def stream_table(times: np.ndarray, values: np.ndarray, level: int, eval_idx=Non
 
 # Paths per block and segments per chunk in word_streams: the per-word
 # temporaries are (block, chunk) arrays, so the two bound them independently
-# of the batch and of the path length.
+# of the batch and of the path length.  A plan with many live intermediates
+# takes shorter chunks, so that they hold at most _STREAM_FLOATS floats.
 _WORD_BLOCK = 32
 _SEGMENT_CHUNK = 4096
+_STREAM_FLOATS = 2**22
 
 
 def word_streams(times: np.ndarray, values: np.ndarray, words, eval_idx=None) -> np.ndarray:
@@ -156,9 +158,11 @@ def word_streams(times: np.ndarray, values: np.ndarray, words, eval_idx=None) ->
 @lru_cache(maxsize=16)
 def _word_plan(words, m):
     """How word_streams computes a tuple of words over 0..m-1: the output
-    columns of each word, and the intermediates E^u (infixes u) and S^v
+    columns of each word; the intermediates E^u (infixes u) and S^v
     (prefixes v) in build order, each with the intermediates whose last
-    read it is (dropped once it is built) and whether a later one reads it."""
+    read it is (dropped once it is built) and whether a later one reads it;
+    and the peak count of (block, chunk) arrays alive at once (the cached
+    intermediates, the one being built and its running sum)."""
     words = [tuple(int(l) for l in w) for w in words]
     for w in words:
         check_word(w, m)
@@ -176,54 +180,73 @@ def _word_plan(words, m):
         drops = [r for r in reads if r not in later]
         steps.append((word, kind, drops, (word, kind) in later))
         later.update(reads)
+    steps.reverse()
+    cached, live = 0, 1  # a plan of no steps still chunks its segments
+    for _, _, drops, keep in steps:
+        live = max(live, cached + 2)
+        cached += keep - len(drops)
     columns = {}
     for i, w in enumerate(words):
         columns.setdefault(w, []).append(i)
-    return steps[::-1], columns
+    return steps, columns, live
 
 
 def _block_word_streams(times, values, plan, eval_idx, out):
     """word_streams of one (b, K, d) block of paths, written into `out`, in
-    chunks of _SEGMENT_CHUNK segments: each stream starts a chunk from its
-    last value in the chunk before, and its prefix sum is sequential, so the
-    bits do not depend on the chunking."""
-    steps, columns = plan
-    n_paths, n_seg = values.shape[0], values.shape[1] - 1
+    chunks of at most _SEGMENT_CHUNK segments, fewer when the plan's live
+    intermediates would exceed _STREAM_FLOATS: each stream starts a chunk
+    from its last value in the chunk before, and its prefix sum is
+    sequential, so the bits do not depend on the chunking."""
+    steps, columns, live = plan
+    chunk = min(_SEGMENT_CHUNK, max(1, _STREAM_FLOATS // (_WORD_BLOCK * live)))
+    n_seg = values.shape[1] - 1
     out[..., columns.get((), [])] = 1.0
     carry = {}
-    for s0 in range(0, n_seg, _SEGMENT_CHUNK):
-        s1 = min(s0 + _SEGMENT_CHUNK, n_seg)
+    for s0 in range(0, n_seg, chunk):
+        s1 = min(s0 + chunk, n_seg)
         # kept breakpoints s0 < k <= s1 sit at column k - s0 of a chunk stream
         rows = slice(*np.searchsorted(eval_idx, [s0 + 1, s1 + 1]))
-        local = eval_idx[rows] - s0
-        # letter 0 steps by the time gaps, one row broadcast over the block
-        gaps = np.moveaxis(np.diff(values[:, s0 : s1 + 1], axis=1), -1, 0).copy()
-        dx = [np.diff(times[s0 : s1 + 1]), *gaps]
-        cache = {}
-        for word, kind, drops, keep in steps:
-            n = len(word)
-            if kind == "E" and n == 1:
-                arr = dx[word[0]]
-            elif kind == "E":
-                arr = cache[word[:-1], "E"] * (dx[word[-1]] / n)
-            else:
-                step = cache[word, "E"]
-                for k in range(1, n):
-                    step = step + cache[word[:k], "S"] * cache[word[k:], "E"]
-                arr = np.empty((n_paths, s1 - s0 + 1))
-                arr[:, 0] = carry.get(word, 0.0)
-                arr[:, 1:] = step
-                # sequential: arr[k+1] = arr[k] + step[k]
-                np.add.accumulate(arr, axis=1, out=arr)
-                if s1 < n_seg:
-                    carry[word] = arr[:, -1].copy()
-                for i in columns.get(word, ()):
-                    out[:, rows, i] = arr[:, local]
-                arr = arr[:, :-1]  # S^v is read at the segment starts
-            for key in drops:
-                del cache[key]
-            if keep:
-                cache[word, kind] = arr
+        _chunk_word_streams(
+            times[s0 : s1 + 1], values[:, s0 : s1 + 1], steps, columns,
+            eval_idx[rows] - s0, out[:, rows], carry, last=s1 == n_seg,
+        )
+
+
+def _chunk_word_streams(times, values, steps, columns, local, out, carry, last):
+    """One chunk of _block_word_streams: streams every planned word over the
+    segments between `times`, from the values in `carry` (updated unless
+    this is the `last` chunk), writing the breakpoints `local` of each
+    requested word into its columns of `out`.  Its arrays die on return,
+    so they never overlap the next chunk's."""
+    n_paths, n_pts = values.shape[0], values.shape[1]
+    # letter 0 steps by the time gaps, one row broadcast over the block
+    dx = [np.diff(times)]
+    dx += [np.diff(values[..., c], axis=1) for c in range(values.shape[2])]
+    cache = {}
+    for word, kind, drops, keep in steps:
+        n = len(word)
+        if kind == "E" and n == 1:
+            arr = dx[word[0]]
+        elif kind == "E":
+            arr = cache[word[:-1], "E"] * (dx[word[-1]] / n)
+        else:
+            step = cache[word, "E"]
+            for k in range(1, n):
+                step = step + cache[word[:k], "S"] * cache[word[k:], "E"]
+            arr = np.empty((n_paths, n_pts))
+            arr[:, 0] = carry.get(word, 0.0)
+            arr[:, 1:] = step
+            # sequential: arr[k+1] = arr[k] + step[k]
+            np.add.accumulate(arr, axis=1, out=arr)
+            if not last:
+                carry[word] = arr[:, -1].copy()
+            for i in columns.get(word, ()):
+                out[:, :, i] = arr[:, local]
+            arr = arr[:, :-1]  # S^v is read at the segment starts
+        for key in drops:
+            del cache[key]
+        if keep:
+            cache[word, kind] = arr
 
 
 @dataclass(frozen=True, eq=False)

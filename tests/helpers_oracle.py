@@ -5,8 +5,10 @@ done by cumulative Riemann-Stieltjes sums on a dense grid, signature streams
 by one dense Chen product per breakpoint in local tensor arithmetic, Hoelder
 norms by explicit pairwise maxima or a plain lag loop (also over a refined
 grid), shuffles by enumerating interleavings, products of one-dimensional
-tensors by series convolution, and minimum-norm and ridge least squares by
-scipy's own LAPACK bindings.
+tensors by series convolution, minimum-norm and ridge least squares by
+scipy's own LAPACK bindings.  The levy rows oracle is the exception: it
+runs the library's sampler and streams over each chunk whole, to check the
+runner's slicing rather than the kernels.
 """
 
 import itertools
@@ -83,16 +85,26 @@ def dense_holder_oracle(path, alpha, n_points=4097, extra_times=None):
     """Pairwise maximum of |X_t - X_s| / (t-s)^alpha over a dense grid.
 
     The grid is the union of a uniform n_points grid with any extra times,
-    so it dominates every candidate grid built from those times.  The pairs
-    (i, j > i) are taken one row i at a time, so memory stays O(grid).
+    so it dominates every candidate grid built from those times.  Each
+    increment is the sum over segments of the segment's slope times its
+    overlap with [s, t], so a pair rounds relative to its own increment.
+    (A difference of interpolated values rounds relative to the values: it
+    put a pair 3.3e-5 long on the steepest segment 1.8e-12 above that slope
+    at alpha = 1.)  The pairs (i, j > i) are taken one row i at a time, so
+    memory stays O(grid x segments).
     """
     grid = np.linspace(0.0, path.T, n_points)
     if extra_times is not None:
         grid = np.union1d(grid, np.asarray(extra_times, dtype=float))
-    vals = path.eval(grid)
+    starts, ends = path.times[:-1], path.times[1:]
+    slopes = np.diff(path.values, axis=0) / (ends - starts)[:, None]
+    # overlap of [s, t] with segment k: clipped[t, k] - clipped[s, k]
+    clipped = np.clip(grid[:, None], starts, ends)
+    first = np.searchsorted(ends, grid)  # segments ending by s add nothing
     best = -np.inf
     for i in range(grid.size - 1):
-        diffs = vals[i + 1 :] - vals[i]
+        k = first[i]
+        diffs = (clipped[i + 1 :, k:] - clipped[i, k:]) @ slopes[k:]
         dist = np.sqrt(np.sum(diffs * diffs, axis=1))
         best = max(best, np.max(dist / (grid[i + 1 :] - grid[i]) ** alpha))
     return float(best)
@@ -140,6 +152,61 @@ def refined_holder_oracle(times, values, alpha, m):
         :, pos + 1, :
     ] * frac[None, :, None]
     return lag_scan_oracle(grid, hat_grid, alpha)
+
+
+def levy_rows_oracle(cfg):
+    """The rows of `experiments.run_levy` by its whole-chunk loop: each
+    chunk of _LEVY_CHUNK paths (read at call time) is sampled at once, and
+    each depth adds the sum of the chunk's quadrature terms in chunk order.
+    The sliced runner must keep these bits."""
+    from sigpath import experiments as ex
+    from sigpath.paths import dyadic_times
+    from sigpath.regress import trapezoid_weights
+    from sigpath.stochastic import sample_brownian_batch, stratonovich_reference
+
+    functional = ex._levy_functional(cfg.target)
+    depths = sorted(cfg.depths)
+    eval_depth = depths[-1] + 1
+    eval_times = dyadic_times(cfg.T, eval_depth)
+    fine_times = dyadic_times(cfg.T, cfg.n_max)
+    weights = trapezoid_weights(eval_times)
+    acc = {dep: 0.0 for dep in depths}
+    for start in range(0, cfg.n_samples, ex._LEVY_CHUNK):
+        idx = np.arange(start, min(start + ex._LEVY_CHUNK, cfg.n_samples))
+        fine = sample_brownian_batch(cfg.seed, idx, 2, cfg.T, cfg.n_max)
+        ref_vals = stratonovich_reference(fine_times, fine, functional, eval_times)
+        for dep in depths:
+            stride = 2 ** (cfg.n_max - dep)
+            coarse = ex._upsample_dyadic(fine[:, ::stride, :], eval_depth - dep)
+            vals = functional.apply_stream(eval_times, coarse)
+            delta = vals - ref_vals
+            with np.errstate(over="ignore"):
+                acc[dep] += float(np.sum(weights * np.abs(delta) ** cfg.p))
+    distances = {
+        dep: (acc[dep] / cfg.n_samples) ** (1.0 / cfg.p) for dep in depths
+    }
+    if len(distances) >= 2 and all(d > 0 for d in distances.values()):
+        log2d = np.log2([distances[dep] for dep in depths])
+        slope = float(np.polyfit(depths, log2d, 1)[0])
+    else:
+        slope = float("nan")
+    return [
+        {
+            "experiment": "levy",
+            "target": cfg.target,
+            "depth": dep,
+            "level": functional.level,
+            "n_samples": cfg.n_samples,
+            "p": cfg.p,
+            "distance": distances[dep],
+            "log2_distance": (
+                float(np.log2(distances[dep])) if distances[dep] > 0 else float("-inf")
+            ),
+            "slope": slope,
+            "config_hash": cfg.config_hash(),
+        }
+        for dep in depths
+    ]
 
 
 def lstsq_oracle(X_tr, y_tr):

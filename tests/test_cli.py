@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sigpath.experiments as experiments
-from helpers_oracle import refined_holder_oracle
+from helpers_oracle import levy_rows_oracle, refined_holder_oracle
 from sigpath.cli import main
 from sigpath.experiments import (
     EXPERIMENT_KINDS,
@@ -585,6 +586,59 @@ def test_levy_first_coordinate_slope(tmp_path):
     dists = [r["distance"] for r in rows]
     assert all(b < a for a, b in zip(dists, dists[1:]))
     assert -0.75 <= rows[0]["slope"] <= -0.25
+
+
+@pytest.mark.parametrize("p", [1, 2, 3.5])
+@pytest.mark.parametrize("target", LEVY_TARGETS)
+def test_sliced_levy_chunks_keep_the_whole_chunk_bits(monkeypatch, target, p):
+    # 30 paths in chunks of 12, 12 and 6, sampled in slices of 5 paths: each
+    # full chunk ends on a short slice of 2, the last on a slice of 1
+    monkeypatch.setattr(experiments, "_LEVY_CHUNK", 12)
+    monkeypatch.setattr(experiments, "_LEVY_SLICE_FLOATS", 5 * 2 * 2**9)
+    cfg = ExperimentConfig.from_dict(
+        {"kind": "levy", "seed": 5, "target": target, "p": p, "n_samples": 30,
+         "depths": [2, 3, 4, 5], "n_max": 9}
+    )
+    _, rows, _ = run_levy(cfg)
+    want = levy_rows_oracle(cfg)
+    # repr keeps every bit of a float and compares nan slopes equal
+    assert [{k: repr(v) for k, v in r.items()} for r in rows] == [
+        {k: repr(v) for k, v in r.items()} for r in want
+    ]
+
+
+def test_levy_holds_one_slice_lattice_at_a_time(monkeypatch):
+    n_paths, n_max, depths = 128, 14, list(range(4, 11))
+    asked = []
+
+    def recording_sampler(seed, sample_indices, *args):
+        asked.append(len(sample_indices))
+        return sample_brownian_batch(seed, sample_indices, *args)
+
+    monkeypatch.setattr(experiments, "sample_brownian_batch", recording_sampler)
+    warm = {"kind": "levy", "n_samples": 10, "depths": [1, 2], "n_max": 6}
+    run_levy(ExperimentConfig.from_dict(warm))  # caches outside the trace
+    asked.clear()
+    cfg = ExperimentConfig.from_dict(
+        {"kind": "levy", "seed": 3, "n_samples": n_paths, "depths": depths,
+         "n_max": n_max}
+    )
+    tracemalloc.start()
+    try:
+        run_levy(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_slice = max(1, experiments._LEVY_SLICE_FLOATS // (2 * 2**n_max))
+    assert sum(asked) == n_paths and max(asked) <= n_slice
+    lattice = (2**n_max + 1) * 2 * 8  # bytes of one path's fine lattice
+    terms = len(depths) * n_paths * (2 ** (depths[-1] + 1) + 1) * 8
+    # a slice's word-stream intermediates and reference values take about
+    # one more slice lattice (8.6 MB against 8.4 MB at n_max 14); 1.5 MiB of
+    # slack covers the difference and the small arrays
+    bound = terms + 2 * n_slice * lattice + 3 * 2**19
+    assert bound < n_paths * lattice  # the whole lattice alone: 33.5 MB
+    assert peak < bound
 
 
 def test_huge_m_moments_run_exits_0(tmp_path):

@@ -153,9 +153,9 @@ def test_holder_norm_is_the_breakpoint_maximum(path, alpha, m):
     refined = refined_norm(path, alpha, m)
     assert refined >= norm
     assert refined == pytest.approx(norm, rel=1e-12)
-    # at alpha = 1 every pair on the steepest segment ties, and the shortest
-    # pairs carry the largest rounding: up to 3e-12 relative on 4097 points,
-    # 1.2e-13 on 257
+    # at alpha = 1 every pair on the steepest segment ties; the oracle sums
+    # each increment from the segment slopes, so a short pair rounds relative
+    # to its own increment (a few ulps), not relative to the path's values
     dense = dense_holder_oracle(path, alpha, n_points=257, extra_times=path.times)
     assert dense == pytest.approx(norm, rel=1e-12)
 

@@ -350,6 +350,24 @@ def test_stream_table_memory_is_bounded_by_block_and_chunk():
     assert peak <= 32 * 2**20
 
 
+def test_stream_table_memory_is_bounded_by_the_word_plan():
+    # dim 3, level 5: 364 words, 243 intermediates live at once, so the
+    # segment chunk shrinks from 4096 to 539; with 4096-segment chunks the
+    # intermediates peak near 240 MiB
+    rng = np.random.default_rng(14)
+    times = random_times(rng, 8193)
+    values = rng.normal(size=(sg._WORD_BLOCK, 8193, 2)).cumsum(axis=1)
+    stream_table(times[:3], values[:, :3], 5)  # warm up outside the trace
+    tracemalloc.start()
+    try:
+        row = stream_table(times, values, 5, eval_idx=[8192])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert row.shape == (sg._WORD_BLOCK, 1, 364)
+    assert peak <= 1.25 * 8 * sg._STREAM_FLOATS  # 40 MiB
+
+
 def test_stream_table_rejects_negative_level():
     with pytest.raises(ValueError, match="level"):
         stream_table(np.arange(3.0), np.zeros((3, 1)), -1)
