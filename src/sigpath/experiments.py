@@ -54,52 +54,26 @@ class NumericalError(RuntimeError):
     """Non-finite intermediate or overflow during an experiment."""
 
 
-EXPERIMENT_KINDS = ("functional", "ode", "sde", "levy", "moments")
-FUNCTIONAL_TARGETS = ("terminal-square", "integral", "running-max", "exp-terminal")
+# Path functionals of the first coordinate w1 (paths, points) on `times`.
+FUNCTIONAL_TARGETS = {
+    "terminal-square": lambda times, w1: w1[:, -1] ** 2,
+    "integral": lambda times, w1: 0.5 * (w1[:, :-1] + w1[:, 1:]) @ np.diff(times),
+    "running-max": lambda times, w1: w1.max(axis=1),
+    "exp-terminal": lambda times, w1: np.clip(np.exp(w1[:, -1]), -10.0, 10.0),
+}
 VECTOR_FIELDS = ("zero-drift-identity", "linear", "tanh-bounded")
-LEVY_TARGETS = ("levy-area", "time-coordinate", "first-coordinate")
-
-REGRESSION_COLUMNS = [
-    "experiment", "target", "depth", "level", "n_samples", "n_excluded",
-    "p", "lam", "train_error", "test_error", "normal_eq_residual",
-    "gram_eig_min", "gram_eig_max", "rank_deficient", "config_hash",
-]
-LEVY_COLUMNS = [
-    "experiment", "target", "depth", "level", "n_samples", "p",
-    "distance", "log2_distance", "slope", "config_hash",
-]
-MOMENTS_COLUMNS = [
-    "experiment", "depth", "n_samples", "p", "alpha", "beta", "gamma", "m",
-    "estimate", "std_error", "half_full_ratio", "stable", "config_hash",
-]
+# Functionals of the time-extended 2-D Brownian signature.
+LEVY_TARGETS = {
+    "levy-area": levy_area_functional(dim=3),
+    "time-coordinate": LinearFunctional(3, 2, {(0,): 1.0}),
+    "first-coordinate": LinearFunctional(3, 2, {(1,): 1.0}),
+}
 
 _LEVY_CHUNK = 500
 # Fine-lattice floats per levy slice: a chunk is sampled and streamed a slice
 # of paths at a time (at least one path), so no whole-chunk lattice is held.
 _LEVY_SLICE_FLOATS = 2**20
 _MOMENT_CHUNK = 2500
-
-_DEFAULTS_BY_KIND = {
-    "functional": dict(
-        d=1, depths=(8,), levels=(1, 2, 3, 4), n_samples=2000,
-        target="terminal-square", beta=0.05, m=16,
-    ),
-    "ode": dict(
-        d=1, depths=(8,), levels=(1, 2, 3, 4), n_samples=2000,
-        field="linear", a=0.0, b=0.5, beta=0.05, m=16,
-    ),
-    "sde": dict(
-        d=1, depths=(4, 6, 8), levels=(1, 2, 3, 4), n_samples=2000,
-        a=0.5, b=1.0, n_max=14, beta=0.05, m=16,
-    ),
-    "levy": dict(
-        d=2, depths=(4, 5, 6, 7, 8, 9, 10), levels=(2,), n_samples=10000,
-        target="levy-area", n_max=14, beta=0.05, m=16,
-    ),
-    "moments": dict(
-        d=1, depths=(8,), levels=(), n_samples=10000, beta=0.01, m=2,
-    ),
-}
 
 
 # Field types checked by ExperimentConfig.from_dict.  Values keep the type
@@ -126,6 +100,14 @@ def _int_list(key, value) -> tuple:
         _check_int(f"{key} entry", v)
         out.append(v)
     return tuple(out)
+
+
+def _lookup(table, name, what):
+    """table[name], or a ConfigError when `name` is not one of its keys (a
+    JSON list or object included, which a dict lookup cannot hash)."""
+    if not isinstance(name, str) or name not in table:
+        raise ConfigError(f"unknown {what} {name!r}")
+    return table[name]
 
 
 def _check_number(key, value):
@@ -171,9 +153,7 @@ class ExperimentConfig:
             raise ConfigError("config must be a JSON object")
         raw = dict(raw)
         kind = raw.pop("kind", None)
-        if kind not in EXPERIMENT_KINDS:
-            raise ConfigError(f"unknown experiment kind {kind!r}")
-        merged = dict(_DEFAULTS_BY_KIND.get(kind, {}))
+        merged = dict(_lookup(EXPERIMENT_KINDS, kind, "experiment kind")[1])
         known = set(cls.__dataclass_fields__) - {"kind"}
         for key, value in raw.items():
             if key not in known:
@@ -192,15 +172,14 @@ class ExperimentConfig:
             raise ConfigError(f"out must be a path string, got {merged['out']!r}")
         if "n_max" not in merged and kind in ("functional", "ode", "moments"):
             # empty depths fall through to validate's non-empty check
-            merged["n_max"] = max(merged["depths"], default=0)
+            merged["n_max"] = max(merged.get("depths", cls.depths), default=0)
         cfg = cls(kind=kind, **merged)
         cfg.validate()
         return cfg
 
     def validate(self):
         c = self
-        if c.kind not in EXPERIMENT_KINDS:
-            raise ConfigError(f"unknown experiment kind {c.kind!r}")
+        _lookup(EXPERIMENT_KINDS, c.kind, "experiment kind")
         if not isinstance(c.seed, int) or not 0 <= c.seed < 2**64:
             raise ConfigError("seed must be an integer in [0, 2**64)")
         if not 1 <= c.d <= MAX_DIM or c.T <= 0:
@@ -226,8 +205,8 @@ class ExperimentConfig:
                 raise ConfigError("levels must all be >= 1")
             if exceeds_max_words(c.d + 1, max(c.levels)):
                 raise ConfigError(f"levels exceed {MAX_WORDS} signature features")
-        if c.kind == "functional" and c.target not in FUNCTIONAL_TARGETS:
-            raise ConfigError(f"unknown target {c.target!r}")
+        if c.kind == "functional":
+            _lookup(FUNCTIONAL_TARGETS, c.target, "target")
         if c.kind == "ode":
             if c.field not in VECTOR_FIELDS:
                 raise ConfigError(f"unknown vector field {c.field!r}")
@@ -240,8 +219,7 @@ class ExperimentConfig:
         if c.kind == "levy":
             if c.d != 2:
                 raise ConfigError("levy experiment needs d = 2")
-            if c.target not in LEVY_TARGETS:
-                raise ConfigError(f"unknown levy target {c.target!r}")
+            _lookup(LEVY_TARGETS, c.target, "levy target")
         if c.kind in ("sde", "levy") and max(c.depths) > c.n_max - 4:
             raise ConfigError(
                 f"{c.kind} depths must stay >= 4 levels below the reference n_max"
@@ -293,20 +271,6 @@ def _log(msg):
     print(msg, file=sys.stderr)
 
 
-def _functional_target(name, times, values):
-    w1 = values[..., 0]
-    if name == "terminal-square":
-        return w1[:, -1] ** 2
-    if name == "integral":
-        gaps = np.diff(times)
-        return 0.5 * (w1[:, :-1] + w1[:, 1:]) @ gaps
-    if name == "running-max":
-        return w1.max(axis=1)
-    if name == "exp-terminal":
-        return np.clip(np.exp(w1[:, -1]), -10.0, 10.0)
-    raise ConfigError(f"unknown target {name!r}")
-
-
 # -- experiment runners ----------------------------------------------------------
 
 
@@ -314,7 +278,7 @@ def _regression_target(cfg, times, values):
     """(label, feature mode, kept paths, targets, excluded count) of one
     depth's Brownian values for a functional, ode or sde config."""
     if cfg.kind == "functional":
-        y = _functional_target(cfg.target, times, values)
+        y = FUNCTIONAL_TARGETS[cfg.target](times, values[..., 0])
         return cfg.target, "terminal", values, y, 0
     if cfg.kind == "ode":
         vf = make_vector_field(cfg.field, d=cfg.d, a=cfg.a, b=cfg.b)
@@ -359,17 +323,7 @@ def run_regression(cfg: ExperimentConfig):
             f"[{cfg.kind}:{label}] depth={depth} excluded={n_excluded} "
             f"({time.perf_counter() - t0:.1f}s)"
         )
-    return REGRESSION_COLUMNS, rows, reports
-
-
-def _levy_functional(name: str) -> LinearFunctional:
-    if name == "levy-area":
-        return levy_area_functional(dim=3)
-    if name == "time-coordinate":
-        return LinearFunctional(3, 2, {(0,): 1.0})
-    if name == "first-coordinate":
-        return LinearFunctional(3, 2, {(1,): 1.0})
-    raise ConfigError(f"unknown levy target {name!r}")
+    return rows, reports
 
 
 def _upsample_dyadic(values: np.ndarray, gap: int) -> np.ndarray:
@@ -415,7 +369,7 @@ def run_levy(cfg: ExperimentConfig):
     terms are per path, so the bits depend on _LEVY_CHUNK and that in-order
     sum but not on the slice.
     """
-    functional = _levy_functional(cfg.target)
+    functional = LEVY_TARGETS[cfg.target]
     depths = sorted(cfg.depths)
     # All depths are compared on one quadrature grid strictly finer than the
     # finest experiment depth (coordinate functionals have no error at their
@@ -467,7 +421,7 @@ def run_levy(cfg: ExperimentConfig):
         f"[levy:{cfg.target}] depths={depths} slope={slope:.3f} "
         f"({time.perf_counter() - t0:.1f}s)"
     )
-    return LEVY_COLUMNS, rows, {}
+    return rows, {}
 
 
 def run_moments(cfg: ExperimentConfig):
@@ -531,7 +485,7 @@ def run_moments(cfg: ExperimentConfig):
             f"[moments] depth={depth} estimate={estimate:.6g} "
             f"({time.perf_counter() - t0:.1f}s)"
         )
-    return MOMENTS_COLUMNS, rows, {}
+    return rows, {}
 
 
 # -- persistence -----------------------------------------------------------------
@@ -545,11 +499,10 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_rows(path, columns, rows, append=False):
-    header = ",".join(columns)
-    body = [
-        ",".join(_format_cell(row[col]) for col in columns) for row in rows
-    ]
+def write_rows(path, rows, append=False):
+    """Write (or append) `rows`, dicts whose key order is the CSV header."""
+    header = ",".join(rows[0])
+    body = [",".join(_format_cell(v) for v in row.values()) for row in rows]
     if append and os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
             existing = fh.readline().rstrip("\n")
@@ -585,28 +538,35 @@ def _existing_reports(path: str) -> dict:
     return existing
 
 
-_RUNNERS = {
-    "functional": run_regression,
-    "ode": run_regression,
-    "sde": run_regression,
-    "levy": run_levy,
-    "moments": run_moments,
+# kind -> (runner, the defaults that differ from ExperimentConfig's)
+EXPERIMENT_KINDS = {
+    "functional": (run_regression, {}),
+    "ode": (run_regression, {"b": 0.5}),
+    "sde": (run_regression, {"depths": (4, 6, 8), "a": 0.5}),
+    "levy": (
+        run_levy,
+        {"d": 2, "depths": (4, 5, 6, 7, 8, 9, 10), "levels": (2,),
+         "n_samples": 10000, "target": "levy-area"},
+    ),
+    "moments": (run_moments, {"levels": (), "n_samples": 10000, "beta": 0.01, "m": 2}),
 }
 
 
 def run_config(cfg: ExperimentConfig, out: str | None = None, append: bool = False):
     """Run one experiment config and persist results; returns (csv_path, rows)."""
     csv_path = out or cfg.out or f"{cfg.kind}-results.csv"
+    reports_path = _reports_path(csv_path)
     if os.path.isdir(csv_path):
         raise ConfigError(f"results path {csv_path} is a directory")
     if not os.path.isdir(os.path.dirname(csv_path) or "."):
         raise ConfigError(f"directory of results path {csv_path} does not exist")
-    columns, rows, reports = _RUNNERS[cfg.kind](cfg)
-    reports_path = _reports_path(csv_path)
+    if cfg.kind in ("functional", "ode", "sde") and os.path.isdir(reports_path):
+        raise ConfigError(f"functionals path {reports_path} is a directory")
+    rows, reports = EXPERIMENT_KINDS[cfg.kind][0](cfg)
     if reports and append:
         # a repeated key takes this run's report
         reports = {**_existing_reports(reports_path), **reports}
-    write_rows(csv_path, columns, rows, append=append)
+    write_rows(csv_path, rows, append=append)
     if reports:
         with open(reports_path, "w", encoding="utf-8") as fh:
             json.dump(reports, fh, indent=2, sort_keys=True)

@@ -40,8 +40,8 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _ABSORB = np.uint64(0xC2B2AE3D27D4EB4F)
 
 # Variates per block: sample_brownian_batch fills each refinement level in
-# blocks of paths (at least one) holding at most this many, which bounds its
-# temporaries to a few block-sized arrays whatever the batch size.
+# blocks of paths and positions holding at most this many, which bounds its
+# temporaries to a few block-sized arrays whatever the batch size and depth.
 _SAMPLE_BLOCK = 2**16
 
 
@@ -130,9 +130,9 @@ def sample_brownian_batch(seed, sample_indices, d, T, n_max) -> np.ndarray:
 
     Depth 0 draws the endpoint as N(0, T I); each refinement level fills the
     midpoints with the bridge law mid = (left+right)/2 + sqrt(h/4) Z, h the
-    parent spacing.  Each level is filled in blocks of paths holding at most
-    _SAMPLE_BLOCK variates; every variate is a pure function of its key, so
-    the blocking never changes the values.
+    parent spacing.  Each level is filled in blocks of paths and positions
+    holding at most _SAMPLE_BLOCK variates; every variate is a pure function
+    of its key, so the blocking never changes the values.
     """
     if n_max > MAX_DEPTH:
         raise ValueError(f"n_max {n_max} exceeds {MAX_DEPTH}")
@@ -148,24 +148,31 @@ def sample_brownian_batch(seed, sample_indices, d, T, n_max) -> np.ndarray:
     z_end = standard_normal(_mix(base[:, 0] ^ _event_words(0, 0, coords)))
     z_end *= np.sqrt(T)
     w[:, -1, :] = z_end
+    # a block is `rows` paths by `cols` positions of one level
+    cols = max(1, _SAMPLE_BLOCK // d)
     for level in range(1, n_max + 1):
         n_pos = 2 ** (level - 1)
         stride = 2 ** (n_max - level + 1)
-        words = _event_words(level, np.arange(n_pos)[:, None], coords)
         scale = np.sqrt(T / n_pos / 4.0)
-        rows = max(1, _SAMPLE_BLOCK // words.size)
-        for start in range(0, samples.size, rows):
-            wb = w[start : start + rows]
-            z = standard_normal(_mix(base[start : start + rows] ^ words))
-            z *= scale
-            # one coordinate at a time, so numpy's inner loop runs along the
-            # positions rather than over the d coordinates of one point
-            for c in range(d):
-                left = wb[:, : n_pts - 1 : stride, c]
-                mid = wb[:, stride // 2 :: stride, c]
-                np.add(left, wb[:, stride::stride, c], out=mid)
-                mid *= 0.5
-                mid += z[..., c]
+        rows = max(1, _SAMPLE_BLOCK // (min(n_pos, cols) * d))
+        for first in range(0, n_pos, cols):
+            words = _event_words(
+                level, np.arange(first, min(first + cols, n_pos))[:, None], coords
+            )
+            lo = first * stride
+            hi = lo + words.shape[0] * stride
+            for start in range(0, samples.size, rows):
+                wb = w[start : start + rows]
+                z = standard_normal(_mix(base[start : start + rows] ^ words))
+                z *= scale
+                # one coordinate at a time, so numpy's inner loop runs along
+                # the positions rather than over the d coordinates of a point
+                for c in range(d):
+                    left = wb[:, lo:hi:stride, c]
+                    mid = wb[:, lo + stride // 2 : hi : stride, c]
+                    np.add(left, wb[:, lo + stride : hi + 1 : stride, c], out=mid)
+                    mid *= 0.5
+                    mid += z[..., c]
     return w
 
 
@@ -174,15 +181,13 @@ def sample_brownian_batch(seed, sample_indices, d, T, n_max) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VectorField:
-    """Drift (t, y) -> (..., m) and diffusion (t, y) -> (..., m, d), plus the
-    constant C of the linear growth bound |mu| + |sigma| <= C (1 + |y|)."""
+    """Drift (t, y) -> (..., m) and diffusion (t, y) -> (..., m, d)."""
 
     name: str
     m: int
     d: int
     drift: Callable
     diffusion: Callable
-    growth_const: float
 
 
 def make_vector_field(name: str, d: int = 1, a: float = 0.0, b: float = 1.0) -> VectorField:
@@ -196,7 +201,7 @@ def make_vector_field(name: str, d: int = 1, a: float = 0.0, b: float = 1.0) -> 
         def diffusion(t, y):
             return np.broadcast_to(eye, y.shape[:-1] + (d, d))
 
-        return VectorField(name, d, d, drift, diffusion, 1.0)
+        return VectorField(name, d, d, drift, diffusion)
     if name == "linear":
         if d != 1:
             raise ValueError("linear field is scalar (d = 1)")
@@ -207,7 +212,7 @@ def make_vector_field(name: str, d: int = 1, a: float = 0.0, b: float = 1.0) -> 
         def diffusion(t, y):
             return (b * y)[..., None]
 
-        return VectorField(name, 1, 1, drift, diffusion, abs(a) + abs(b))
+        return VectorField(name, 1, 1, drift, diffusion)
     if name == "tanh-bounded":
         if d != 1:
             raise ValueError("tanh-bounded field is scalar (d = 1)")
@@ -218,7 +223,7 @@ def make_vector_field(name: str, d: int = 1, a: float = 0.0, b: float = 1.0) -> 
         def diffusion(t, y):
             return np.tanh(y)[..., None]
 
-        return VectorField(name, 1, 1, drift, diffusion, 2.0)
+        return VectorField(name, 1, 1, drift, diffusion)
     raise ValueError(f"unknown vector field {name!r}")
 
 

@@ -164,7 +164,7 @@ def levy_rows_oracle(cfg):
     from sigpath.regress import trapezoid_weights
     from sigpath.stochastic import sample_brownian_batch, stratonovich_reference
 
-    functional = ex._levy_functional(cfg.target)
+    functional = ex.LEVY_TARGETS[cfg.target]
     depths = sorted(cfg.depths)
     eval_depth = depths[-1] + 1
     eval_times = dyadic_times(cfg.T, eval_depth)

@@ -124,7 +124,7 @@ def test_criterion_4_exact_representability():
                 "lam": 0.0,
             }
         )
-        _, rows, _ = run_regression(cfg)
+        rows, _ = run_regression(cfg)
         for row in rows:
             assert row["test_error"] <= 1e-6, (target, row["level"], row["test_error"])
     report(4, "exact-representability regressions", started, 120.0)
@@ -145,7 +145,7 @@ def test_criterion_5_expressiveness_monotonicity():
                 "lam": 0.0,
             }
         )
-        _, rows, _ = run_regression(cfg)
+        rows, _ = run_regression(cfg)
         sequences[target] = [r["test_error"] for r in rows]
 
     cfg = ExperimentConfig.from_dict(
@@ -161,7 +161,7 @@ def test_criterion_5_expressiveness_monotonicity():
             "lam": 0.0,
         }
     )
-    _, rows, _ = run_regression(cfg)
+    rows, _ = run_regression(cfg)
     sequences["linear-ode"] = [r["test_error"] for r in rows]
 
     cfg = ExperimentConfig.from_dict(
@@ -177,7 +177,7 @@ def test_criterion_5_expressiveness_monotonicity():
             "lam": 0.0,
         }
     )
-    _, rows, _ = run_regression(cfg)
+    rows, _ = run_regression(cfg)
     sequences["gbm-sde"] = [r["test_error"] for r in rows]
 
     for target, errs in sequences.items():
@@ -199,7 +199,7 @@ def test_criterion_6_interpolated_signature_convergence():
             "n_max": 14,
         }
     )
-    _, rows, _ = run_levy(cfg)
+    rows, _ = run_levy(cfg)
     distances = [r["distance"] for r in rows]
     assert all(b < a for a, b in zip(distances, distances[1:])), distances
     slope = rows[0]["slope"]
@@ -222,7 +222,7 @@ def test_criterion_7_exponential_moment_stability():
             "p": 2.0,
         }
     )
-    _, rows, _ = run_moments(cfg)
+    rows, _ = run_moments(cfg)
     row = rows[0]
     assert math.isfinite(row["estimate"])
     assert 0.8 <= row["half_full_ratio"] <= 1.25, row["half_full_ratio"]

@@ -232,11 +232,17 @@ def test_config_errors_exit_2(tmp_path):
         ({"kind": "functional", "depths": []}, []),
         ({"kind": "ode", "depths": []}, []),
         ({"kind": "moments", "depths": []}, []),
+        # kinds and targets are looked up in tables, which cannot hash these
+        ({"kind": []}, []),
+        ({"kind": {}}, []),
+        ({"kind": "functional", "target": []}, []),
+        ({"kind": "levy", "target": {}}, []),
     ],
     ids=["float-n_samples", "string-p", "string-lam", "json-list",
          "json-list-seed-override", "bool-seed", "fractional-depth", "nan-T",
          "null-T", "empty-depths-functional", "empty-depths-ode",
-         "empty-depths-moments"],
+         "empty-depths-moments", "list-kind", "object-kind",
+         "list-functional-target", "object-levy-target"],
 )
 def test_mistyped_config_exits_2(tmp_path, payload, extra):
     cfg = write_config(tmp_path, "bad.json", payload)
@@ -272,15 +278,22 @@ def test_bad_cli_input_exits_2(tmp_path, case):
     assert main(argv) == 2
 
 
-@pytest.mark.parametrize("case", ["dir-out", "missing-parent"])
+@pytest.mark.parametrize("case", ["dir-out", "missing-parent", "dir-functionals"])
 def test_bad_out_exits_2_before_the_run(tmp_path, monkeypatch, case):
     def never(cfg):
         raise AssertionError("the experiment ran before --out was checked")
 
-    monkeypatch.setitem(experiments._RUNNERS, "functional", never)
+    monkeypatch.setitem(experiments.EXPERIMENT_KINDS, "functional", (never, {}))
     cfg = write_config(tmp_path, "exp.json", small_functional_config())
-    out = {"dir-out": tmp_path, "missing-parent": tmp_path / "no" / "o.csv"}[case]
+    if case == "dir-functionals":
+        (tmp_path / "o.functionals.json").mkdir()
+    out = {
+        "dir-out": tmp_path,
+        "missing-parent": tmp_path / "no" / "o.csv",
+        "dir-functionals": tmp_path / "o.csv",
+    }[case]
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert not (tmp_path / "o.csv").exists()
 
 
 # Tiny values per config key, all valid but the huge d and level 40: no config
@@ -301,7 +314,7 @@ CONFIG_FIELDS = {
     "gamma": st.sampled_from([1, 2.0]),
     "m": st.one_of(st.integers(1, 4), st.just(10**12)),
     "lam": st.sampled_from([None, 0.0, 1e-3, 1e-300]),
-    "target": st.sampled_from(FUNCTIONAL_TARGETS + LEVY_TARGETS),
+    "target": st.sampled_from([*FUNCTIONAL_TARGETS, *LEVY_TARGETS]),
     "field": st.sampled_from(VECTOR_FIELDS),
     "a": st.sampled_from([-0.5, 0.0, 0.5]),
     "b": st.sampled_from([0.5, 1.0, 1e300]),
@@ -319,7 +332,7 @@ BAD_VALUES = st.sampled_from(
 
 @st.composite
 def run_configs(draw):
-    payload = {"kind": draw(st.sampled_from(EXPERIMENT_KINDS))}
+    payload = {"kind": draw(st.sampled_from(list(EXPERIMENT_KINDS)))}
     optional = draw(st.lists(st.sampled_from(sorted(CONFIG_FIELDS)), max_size=5))
     # n_max is sometimes left out: most kinds derive it from the depths
     keys = ["n_samples", "depths"] + (["n_max"] if draw(st.booleans()) else [])
@@ -366,7 +379,7 @@ def test_moments_beta_zero_limit_and_monotonicity():
         cfg = ExperimentConfig.from_dict(
             {"kind": "moments", "seed": 1, "n_samples": 200, "depths": [5], "beta": beta}
         )
-        _, rows, _ = run_moments(cfg)
+        rows, _ = run_moments(cfg)
         estimates.append(rows[0]["estimate"])
     assert estimates[0] == pytest.approx(1.0, rel=0.01)
     assert estimates[1] < estimates[2] < estimates[3]
@@ -507,6 +520,30 @@ def test_run_path_never_imports_scipy(tmp_path):
     assert results == [[0, False]] * len(payloads)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        small_functional_config(),
+        {"kind": "ode", "depths": [3], "levels": [1, 2], "n_samples": 10, "lam": 0.0},
+        {"kind": "sde", "depths": [3], "levels": [1], "n_samples": 10, "n_max": 7},
+        {"kind": "levy", "depths": [2, 3], "n_samples": 10, "n_max": 7},
+        {"kind": "moments", "depths": [3], "n_samples": 10},
+    ],
+    ids=lambda payload: payload["kind"],
+)
+def test_traced_benchmark_op_records_its_spans(tmp_path, payload):
+    # the tracer wraps the names bound in sigpath.experiments, so the runners
+    # must call the sampler and write_rows through those bindings
+    cfg = write_config(tmp_path, "c.json", payload)
+    result = tmp_path / "result.json"
+    argv = [sys.executable, "-I", str(ROOT / "benchmarks" / "op.py"), str(ROOT / "src"),
+            cfg, str(tmp_path / "o.csv"), str(result), "1", "0"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    spans = {span["name"] for span in json.loads(result.read_text())["spans"]}
+    assert {"experiments.driver", "stochastic.sample", "experiments.write"} <= spans
+
+
 def test_every_public_name_resolves():
     # a stale __all__ entry would otherwise break only `from ... import *`
     for name in ("tensor", "words", "paths", "signature", "stochastic", "regress", "experiments"):
@@ -543,7 +580,7 @@ def test_levy_time_coordinate_distance_is_zero():
             "n_max": 10,
         }
     )
-    _, rows, _ = run_levy(cfg)
+    rows, _ = run_levy(cfg)
     assert all(r["distance"] <= 1e-12 for r in rows)
 
 
@@ -551,7 +588,7 @@ def test_levy_single_depth_has_no_slope():
     cfg = ExperimentConfig.from_dict(
         {"kind": "levy", "seed": 1, "n_samples": 10, "depths": [1], "n_max": 5}
     )
-    _, rows, _ = run_levy(cfg)
+    rows, _ = run_levy(cfg)
     assert len(rows) == 1 and math.isnan(rows[0]["slope"])
 
 
@@ -582,7 +619,7 @@ def test_levy_first_coordinate_slope(tmp_path):
             "n_max": 11,
         }
     )
-    _, rows, _ = run_levy(cfg)
+    rows, _ = run_levy(cfg)
     dists = [r["distance"] for r in rows]
     assert all(b < a for a, b in zip(dists, dists[1:]))
     assert -0.75 <= rows[0]["slope"] <= -0.25
@@ -599,7 +636,7 @@ def test_sliced_levy_chunks_keep_the_whole_chunk_bits(monkeypatch, target, p):
         {"kind": "levy", "seed": 5, "target": target, "p": p, "n_samples": 30,
          "depths": [2, 3, 4, 5], "n_max": 9}
     )
-    _, rows, _ = run_levy(cfg)
+    rows, _ = run_levy(cfg)
     want = levy_rows_oracle(cfg)
     # repr keeps every bit of a float and compares nan slopes equal
     assert [{k: repr(v) for k, v in r.items()} for r in rows] == [
@@ -695,7 +732,7 @@ def test_ode_blowups_excluded_and_counted():
         }
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        _, rows, _ = run_regression(cfg)
+        rows, _ = run_regression(cfg)
     assert rows[0]["n_excluded"] >= 0  # runs to completion either way
     assert math.isfinite(rows[0]["test_error"])
 
@@ -717,7 +754,7 @@ def test_sde_samples_each_depth_and_ignores_n_max(monkeypatch):
     for n_max in (12, 14):
         sampled.clear()
         cfg = ExperimentConfig.from_dict({**payload, "n_max": n_max})
-        _, rows, reports = run_regression(cfg)
+        rows, reports = run_regression(cfg)
         assert sampled == [4, 6, 8]
         results[n_max] = (
             [{k: v for k, v in row.items() if k != "config_hash"} for row in rows],

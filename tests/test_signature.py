@@ -25,7 +25,7 @@ from sigpath.signature import (
     stream_table,
     word_streams,
 )
-from sigpath.experiments import LEVY_TARGETS, _levy_functional
+from sigpath.experiments import LEVY_TARGETS
 from helpers_oracle import (
     chen_stream_oracle,
     iterated_integral_riemann,
@@ -266,7 +266,7 @@ def test_word_streams_equal_dense_columns(case):
 @pytest.mark.parametrize("target", LEVY_TARGETS)
 def test_apply_stream_matches_dense_levy_targets(target):
     # more paths than one word_streams block, on a strided eval grid
-    functional = _levy_functional(target)
+    functional = LEVY_TARGETS[target]
     rng = np.random.default_rng(11)
     times = random_times(rng, 129)
     values = rng.normal(size=(70, 129, 2)).cumsum(axis=1)

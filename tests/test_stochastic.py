@@ -43,15 +43,28 @@ def test_blocked_batch_matches_single_paths_and_deeper_lattice(d):
 
 def test_sampler_peak_memory_is_output_plus_block_slack():
     sto.sample_brownian_batch(1, np.arange(2), 2, 1.0, 4)  # warm up outside the trace
-    tracemalloc.start()
-    try:
-        w = sto.sample_brownian_batch(1, np.arange(64), 2, 1.0, 14)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # ten block-sized 8-byte temporaries; an unblocked sampler holds several
-    # lattice-sized ones (about five times the 16 MiB output here)
-    assert peak <= w.nbytes + 10 * 8 * sto._SAMPLE_BLOCK
+    # one path at n_max 20 draws 2**19 positions x 2 coordinates at its last
+    # level, 16 blocks
+    for n_paths, n_max in ((64, 14), (1, 20)):
+        tracemalloc.start()
+        try:
+            w = sto.sample_brownian_batch(1, np.arange(n_paths), 2, 1.0, n_max)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # ten block-sized 8-byte temporaries; an unblocked sampler, or one
+        # blocked only in whole paths at n_max 20, holds several lattice-sized
+        # ones (about five times the 16 MiB output in both cases)
+        assert peak <= w.nbytes + 10 * 8 * sto._SAMPLE_BLOCK, n_max
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_position_blocks_keep_the_bits(monkeypatch, d):
+    idx = [0, 4, 7]
+    want = sto.sample_brownian_batch(5, idx, d, 0.8, 7)
+    # 7 variates per block: positions split into uneven blocks at every d
+    monkeypatch.setattr(sto, "_SAMPLE_BLOCK", 7)
+    assert np.array_equal(sto.sample_brownian_batch(5, idx, d, 0.8, 7), want)
 
 
 def test_endpoint_statistics():
