@@ -27,6 +27,7 @@ from .signature import stream_table  # noqa: F401
 from .stochastic import (
     MAX_DEPTH,
     MAX_DIM,
+    VECTOR_FIELDS,
     make_vector_field,
     sample_brownian_batch,
     sde_exact_gbm,
@@ -61,7 +62,6 @@ FUNCTIONAL_TARGETS = {
     "running-max": lambda times, w1: w1.max(axis=1),
     "exp-terminal": lambda times, w1: np.clip(np.exp(w1[:, -1]), -10.0, 10.0),
 }
-VECTOR_FIELDS = ("zero-drift-identity", "linear", "tanh-bounded")
 # Functionals of the time-extended 2-D Brownian signature.
 LEVY_TARGETS = {
     "levy-area": levy_area_functional(dim=3),
@@ -208,8 +208,7 @@ class ExperimentConfig:
         if c.kind == "functional":
             _lookup(FUNCTIONAL_TARGETS, c.target, "target")
         if c.kind == "ode":
-            if c.field not in VECTOR_FIELDS:
-                raise ConfigError(f"unknown vector field {c.field!r}")
+            _lookup(VECTOR_FIELDS, c.field, "vector field")
             if c.d != 1:
                 raise ConfigError("ode experiment drives a scalar field (d = 1)")
             if c.substeps < 1:
@@ -560,12 +559,15 @@ def run_config(cfg: ExperimentConfig, out: str | None = None, append: bool = Fal
         raise ConfigError(f"results path {csv_path} is a directory")
     if not os.path.isdir(os.path.dirname(csv_path) or "."):
         raise ConfigError(f"directory of results path {csv_path} does not exist")
-    if cfg.kind in ("functional", "ode", "sde") and os.path.isdir(reports_path):
-        raise ConfigError(f"functionals path {reports_path} is a directory")
+    existing = {}
+    if cfg.kind in ("functional", "ode", "sde"):
+        if os.path.isdir(reports_path):
+            raise ConfigError(f"functionals path {reports_path} is a directory")
+        if append:
+            existing = _existing_reports(reports_path)
     rows, reports = EXPERIMENT_KINDS[cfg.kind][0](cfg)
-    if reports and append:
-        # a repeated key takes this run's report
-        reports = {**_existing_reports(reports_path), **reports}
+    # a repeated key takes this run's report
+    reports = {**existing, **reports}
     write_rows(csv_path, rows, append=append)
     if reports:
         with open(reports_path, "w", encoding="utf-8") as fh:

@@ -10,7 +10,7 @@ terminal value).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -119,19 +119,9 @@ class FitReport:
     n_test_samples: int
 
     def to_dict(self) -> dict:
-        return {
-            "lam": self.lam,
-            "p": self.p,
-            "train_error": self.train_error,
-            "test_error": self.test_error,
-            "normal_eq_residual": self.normal_eq_residual,
-            "gram_eig_min": self.gram_eig_min,
-            "gram_eig_max": self.gram_eig_max,
-            "rank_deficient": self.rank_deficient,
-            "n_train_samples": self.n_train_samples,
-            "n_test_samples": self.n_test_samples,
-            "functional": self.functional.to_dict(),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["functional"] = self.functional.to_dict()
+        return out
 
 
 _SPLIT_TAG = 255  # key namespace separating split draws from lattice draws

@@ -38,27 +38,12 @@ __all__ = [
 ]
 
 
-def segment_exp_blocks(increment: np.ndarray, level: int):
-    """Blocks of exp of a level-1 increment: level n is incr^(x n) / n!.
-
-    `increment` may carry a batch prefix: shape (..., m).
-    """
-    increment = np.asarray(increment, dtype=float)
-    m = increment.shape[-1]
-    batch = increment.shape[:-1]
-    blocks = [np.ones(batch + (1,))]
-    for n in range(1, level + 1):
-        nxt = np.einsum("...i,...j->...ij", blocks[-1], increment / n)
-        blocks.append(nxt.reshape(batch + (m**n,)))
-    return blocks
-
-
 def segment_signature(increment, level: int) -> GroupLikeTensor:
-    """Signature of a single line segment with the given increment."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
+    """Signature of a single line segment with the given increment: that of
+    the one-segment path from 0 to `increment` on [0, 1]."""
     increment = np.atleast_1d(np.asarray(increment, dtype=float))
-    return TruncatedTensor(increment.size, level, segment_exp_blocks(increment, level))
+    segment = PiecewiseLinearPath([0.0, 1.0], [np.zeros_like(increment), increment])
+    return signature(segment, level)
 
 
 def signature(path: PiecewiseLinearPath, level: int) -> GroupLikeTensor:
@@ -133,9 +118,9 @@ def word_streams(times: np.ndarray, values: np.ndarray, words, eval_idx=None) ->
     S^w_{k+1} = S^w_k + T_k with
     T_k = ((E^w + S^{w[:1]} E^{w[1:]}) + S^{w[:2]} E^{w[2:]}) + ...
     and E^u = ((x_{u1}/1) x_{u2}/2) ... the segment-exponential coordinates,
-    summed in the order of the Chen product (tensor.mul_blocks) and
-    segment_exp_blocks, so every coordinate has the bits of the dense
-    per-breakpoint Chen loop on the time-extended values.
+    summed in the order of the Chen product (tensor.mul_blocks), so every
+    coordinate has the bits of the dense per-breakpoint Chen loop on the
+    time-extended values.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)

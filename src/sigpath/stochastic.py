@@ -21,6 +21,7 @@ from .paths import nearest_breakpoints
 from .signature import LinearFunctional
 
 __all__ = [
+    "VECTOR_FIELDS",
     "VectorField",
     "sample_brownian_batch",
     "make_vector_field",
@@ -190,41 +191,61 @@ class VectorField:
     diffusion: Callable
 
 
+def _zero_drift_identity(d, a, b):
+    """dY = dW^pi in R^d."""
+    eye = np.eye(d)
+
+    def drift(t, y):
+        return np.zeros_like(y)
+
+    def diffusion(t, y):
+        return np.broadcast_to(eye, y.shape[:-1] + (d, d))
+
+    return drift, diffusion
+
+
+def _linear(d, a, b):
+    """dY = a Y dt + b Y dW^pi, scalar."""
+    if d != 1:
+        raise ValueError("linear field is scalar (d = 1)")
+
+    def drift(t, y):
+        return a * y
+
+    def diffusion(t, y):
+        return (b * y)[..., None]
+
+    return drift, diffusion
+
+
+def _tanh_bounded(d, a, b):
+    """dY = tanh(Y) (dt + dW^pi), scalar."""
+    if d != 1:
+        raise ValueError("tanh-bounded field is scalar (d = 1)")
+
+    def drift(t, y):
+        return np.tanh(y)
+
+    def diffusion(t, y):
+        return np.tanh(y)[..., None]
+
+    return drift, diffusion
+
+
+# name -> (d, a, b) -> (drift, diffusion) of a field on R^d driven by R^d
+VECTOR_FIELDS = {
+    "zero-drift-identity": _zero_drift_identity,
+    "linear": _linear,
+    "tanh-bounded": _tanh_bounded,
+}
+
+
 def make_vector_field(name: str, d: int = 1, a: float = 0.0, b: float = 1.0) -> VectorField:
     """Named built-in fields; `a` and `b` parameterize the linear field."""
-    if name == "zero-drift-identity":
-        eye = np.eye(d)
-
-        def drift(t, y):
-            return np.zeros_like(y)
-
-        def diffusion(t, y):
-            return np.broadcast_to(eye, y.shape[:-1] + (d, d))
-
-        return VectorField(name, d, d, drift, diffusion)
-    if name == "linear":
-        if d != 1:
-            raise ValueError("linear field is scalar (d = 1)")
-
-        def drift(t, y):
-            return a * y
-
-        def diffusion(t, y):
-            return (b * y)[..., None]
-
-        return VectorField(name, 1, 1, drift, diffusion)
-    if name == "tanh-bounded":
-        if d != 1:
-            raise ValueError("tanh-bounded field is scalar (d = 1)")
-
-        def drift(t, y):
-            return np.tanh(y)
-
-        def diffusion(t, y):
-            return np.tanh(y)[..., None]
-
-        return VectorField(name, 1, 1, drift, diffusion)
-    raise ValueError(f"unknown vector field {name!r}")
+    if not isinstance(name, str) or name not in VECTOR_FIELDS:
+        raise ValueError(f"unknown vector field {name!r}")
+    drift, diffusion = VECTOR_FIELDS[name](d, a, b)
+    return VectorField(name, d, d, drift, diffusion)
 
 
 def solve_ode_batch(times, raw_values, vf: VectorField, y0, substeps: int):

@@ -3,11 +3,6 @@
 A truncated tensor of order N is stored as one contiguous coefficient block
 per level; block n holds the m**n level-n coefficients in lexicographic word
 order (first letter most significant).  Level 0 is the scalar part.
-
-The block-level kernels at the bottom operate on plain lists of ndarrays and
-accept an arbitrary common batch prefix in front of the coefficient axis;
-they serve the scalar `TruncatedTensor` API (batched signature streams are
-computed word by word in `signature.word_streams`).
 """
 
 from __future__ import annotations
@@ -56,13 +51,13 @@ def exceeds_max_words(dim: int, level: int) -> bool:
 # -- block kernels -----------------------------------------------------------
 
 
-def zero_blocks(dim, level, batch=()):
-    return [np.zeros(batch + (dim**n,)) for n in range(level + 1)]
+def zero_blocks(dim, level):
+    return [np.zeros(dim**n) for n in range(level + 1)]
 
 
-def unit_blocks(dim, level, batch=()):
-    blocks = zero_blocks(dim, level, batch)
-    blocks[0][..., 0] = 1.0
+def unit_blocks(dim, level):
+    blocks = zero_blocks(dim, level)
+    blocks[0][0] = 1.0
     return blocks
 
 
@@ -73,8 +68,7 @@ def mul_blocks(a, b, dim):
     for n in range(level + 1):
         acc = None
         for k in range(n + 1):
-            term = np.einsum("...i,...j->...ij", a[k], b[n - k])
-            term = term.reshape(term.shape[:-2] + (dim**n,))
+            term = np.outer(a[k], b[n - k]).reshape(dim**n)
             acc = term if acc is None else acc + term
         out.append(acc)
     return out
@@ -87,7 +81,7 @@ def exp_blocks(a, dim):
     the truncation order because `a` has no level-0 component.
     """
     level = len(a) - 1
-    result = unit_blocks(dim, level, batch=a[0].shape[:-1])
+    result = unit_blocks(dim, level)
     for k in range(level, 0, -1):
         result = mul_blocks([blk / k for blk in a], result, dim)
         result[0] = result[0] + 1.0
@@ -106,10 +100,6 @@ def log_blocks(g, dim):
         coeff = (-1.0) ** (k + 1) / k
         out = [o + coeff * p for o, p in zip(out, power)]
     return out
-
-
-def flatten_blocks(blocks):
-    return np.concatenate(blocks, axis=-1)
 
 
 # -- scalar API ---------------------------------------------------------------
@@ -152,7 +142,7 @@ class TruncatedTensor:
 
     def flat(self) -> np.ndarray:
         """All coefficients concatenated level-major."""
-        return flatten_blocks(self.coeffs)
+        return np.concatenate(self.coeffs)
 
     def __add__(self, other):
         return add(self, other)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,18 @@ def test_sig_command_default_level(tmp_path, capsys):
     assert main(["sig", "--input", str(csv)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["level"] == 4
+
+
+def test_sig_command_overflow_exits_3(tmp_path, capsys):
+    csv = tmp_path / "huge.csv"
+    csv.write_text("t,x1\n0,0\n1,1e200\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sig", "--input", str(csv), "--level", "3"]) == 3
+    assert not caught
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "signature overflows at level 3" in captured.err
 
 
 def test_sig_command_rejects_bad_csv(tmp_path, capsys):
@@ -155,12 +168,17 @@ def test_append_merges_fitted_functionals(tmp_path):
 
 
 @pytest.mark.parametrize("stored", ["[1, 2]\n", "not json\n"], ids=["list", "not-json"])
-def test_append_onto_a_non_object_functionals_file_exits_2(tmp_path, stored):
+def test_append_onto_a_non_object_functionals_file_exits_2(tmp_path, monkeypatch, stored):
     cfg = write_config(tmp_path, "exp.json", small_functional_config())
     out, side = tmp_path / "res.csv", tmp_path / "res.functionals.json"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     csv_bytes = out.read_bytes()
     side.write_text(stored)
+
+    def never(cfg):
+        raise AssertionError("the experiment ran before the functionals were read")
+
+    monkeypatch.setitem(experiments.EXPERIMENT_KINDS, "functional", (never, {}))
     assert main(["run", "--config", cfg, "--out", str(out), "--append"]) == 2
     assert out.read_bytes() == csv_bytes and side.read_text() == stored
 
@@ -315,7 +333,7 @@ CONFIG_FIELDS = {
     "m": st.one_of(st.integers(1, 4), st.just(10**12)),
     "lam": st.sampled_from([None, 0.0, 1e-3, 1e-300]),
     "target": st.sampled_from([*FUNCTIONAL_TARGETS, *LEVY_TARGETS]),
-    "field": st.sampled_from(VECTOR_FIELDS),
+    "field": st.sampled_from(list(VECTOR_FIELDS)),
     "a": st.sampled_from([-0.5, 0.0, 0.5]),
     "b": st.sampled_from([0.5, 1.0, 1e300]),
     "y0": st.sampled_from([-1.0, 1.0]),

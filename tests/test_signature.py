@@ -47,6 +47,18 @@ def test_segment_signature_examples():
     assert np.allclose(diag.coeffs[2], 0.5)
 
 
+def test_segment_signature_matches_chen_oracle():
+    # signed zeros may differ from the oracle's, so compare with array_equal
+    rng = np.random.default_rng(15)
+    for dim in (1, 2, 3):
+        for level in range(6):
+            for _ in range(4):
+                incr = rng.normal(size=dim) * rng.integers(0, 2, size=dim)
+                path = np.stack([np.zeros(dim), incr])
+                row = chen_stream_oracle(path, level)[-1]
+                assert np.array_equal(segment_signature(incr, level).flat(), row)
+
+
 def test_signature_of_line_is_partition_free():
     line = PiecewiseLinearPath([0, 1], [[0.0, 0.0], [2.0, -1.0]])
     refined = insert_breakpoint(insert_breakpoint(line, 0.3), 0.77)
