@@ -41,7 +41,6 @@ from .stochastic import (
     make_vector_field,
     sample_brownian_batch,
     sde_exact_gbm,
-    stratonovich_reference,
 )
 from .regress import FeatureMatrix, FitReport, fit, lp_error
 from .experiments import ConfigError, ExperimentConfig, NumericalError, run_config

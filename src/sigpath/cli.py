@@ -1,8 +1,8 @@
 """Command line entry points.
 
 `sigpath sig` prints the truncated signature of a CSV path; `sigpath run`
-executes an experiment config.  Exit codes: 0 success, 2 config/input error,
-3 numerical failure.
+executes an experiment config.  Exit codes: 0 success, 2 config/input error
+or out of memory, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -88,6 +88,10 @@ def main(argv=None) -> int:
         ConfigError, PathFormatError, OSError, UnicodeDecodeError, json.JSONDecodeError
     ) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        # a config too large for this machine is an input error
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return 2
     except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)

@@ -32,7 +32,6 @@ from .stochastic import (
     sample_brownian_batch,
     sde_exact_gbm,
     solve_ode_batch,
-    stratonovich_reference,
 )
 from .tensor import MAX_WORDS, exceeds_max_words
 
@@ -346,7 +345,9 @@ def _levy_slice_terms(cfg, functional, idx, depths, eval_times, weights, out):
     eval_depth = depths[-1] + 1
     fine_times = dyadic_times(cfg.T, cfg.n_max)
     fine = sample_brownian_batch(cfg.seed, idx, 2, cfg.T, cfg.n_max)
-    ref_vals = stratonovich_reference(fine_times, fine, functional, eval_times)
+    # the eval grid is every 2**(n_max - eval_depth)-th fine breakpoint
+    eval_idx = np.arange(eval_times.size) * 2 ** (cfg.n_max - eval_depth)
+    ref_vals = functional.apply_stream(fine_times, fine, eval_idx=eval_idx)
     for i, dep in enumerate(depths):
         stride = 2 ** (cfg.n_max - dep)
         coarse = _upsample_dyadic(fine[:, ::stride, :], eval_depth - dep)

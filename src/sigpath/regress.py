@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .signature import LinearFunctional, stream_table
+from .stochastic import _split_permutation
 from .tensor import total_entries
 from .words import all_words
 
@@ -124,18 +125,6 @@ class FitReport:
         return out
 
 
-_SPLIT_TAG = 255  # key namespace separating split draws from lattice draws
-
-
-def _split_permutation(split_seed: int, n: int) -> np.ndarray:
-    """Seeded shuffle of 0..n-1 from the counter-based generator, so the
-    train/test split never depends on the numpy version."""
-    from .stochastic import _derive_keys, _uniform
-
-    u = _uniform(_derive_keys(split_seed, np.arange(n), _SPLIT_TAG, 0, 0), 0)
-    return np.argsort(u, kind="stable")
-
-
 def _weighted_lp(residuals, weights, p):
     """L^p norm of (samples, rows) residuals: the mean over samples of the
     row sum weighted by `weights` (rows,), or the plain mean if None."""
@@ -166,10 +155,11 @@ def fit(
     whose training rows are copied to one C-contiguous matrix.
 
     Ridge solves the regularized normal equations with `np.linalg.solve`
-    (LU); a singular system raises `np.linalg.LinAlgError`, and an
-    ill-conditioned one shows in gram_eig_min and gram_eig_max. Minimum-norm
-    fits run LAPACK `gelsd` through `np.linalg.lstsq` with the singular-value
-    cutoff rcond = 1e-10.
+    (LU) and takes two refinement steps on the residual
+    X'(y - X beta) - lam beta, formed from X itself; a singular system
+    raises `np.linalg.LinAlgError`, and an ill-conditioned one shows in
+    gram_eig_min and gram_eig_max. Minimum-norm fits run LAPACK `gelsd`
+    through `np.linalg.lstsq` with the singular-value cutoff rcond = 1e-10.
 
     lam = None selects the scale-aware default 1e-8 * trace(X'X) / n_cols;
     the split is seeded, so reruns are bit-identical. Overflow does not
@@ -209,6 +199,8 @@ def fit(
     rank_deficient = False
     if lam > 0.0:
         beta = np.linalg.solve(lhs, xty)
+        for _ in range(2):
+            beta += np.linalg.solve(lhs, X_tr.T @ (y_tr - X_tr @ beta) - lam * beta)
     else:
         # drop directions collinear to within the precision of the feature
         # computation itself; keeping them blows up the minimum-norm solution

@@ -1,5 +1,5 @@
 """Brownian paths on nested dyadic partitions, ODE/SDE target generation,
-and the fine-grid reference evaluation of signature functionals.
+and the seeded train/test split.
 
 Randomness is counter-based: every Gaussian variate is addressed by the key
 (seed, sample_index, refinement_level, position, coordinate), hashed through
@@ -17,9 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from .paths import nearest_breakpoints
-from .signature import LinearFunctional
-
 __all__ = [
     "VECTOR_FIELDS",
     "VectorField",
@@ -27,13 +24,14 @@ __all__ = [
     "make_vector_field",
     "solve_ode_batch",
     "sde_exact_gbm",
-    "stratonovich_reference",
 ]
 
 # Bounds of the key layout (_event_words): positions of a depth-MAX_DEPTH
 # lattice and coordinates below MAX_DIM each keep their own bits of the word.
 MAX_DEPTH = 24
 MAX_DIM = 2**8
+# Key namespace of the train/test split: a level no lattice reaches.
+_SPLIT_TAG = 255
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -79,18 +77,20 @@ def _event_words(level, position, coordinate):
         return packed * _ABSORB
 
 
-def _derive_keys(seed, sample, level, position, coordinate) -> np.ndarray:
-    """One 64-bit key per (seed, sample, level, position, coordinate);
-    the integer arguments broadcast.  A final mixing round separates every
-    event of a sample's lattice."""
-    return _mix(_sample_keys(seed, sample) ^ _event_words(level, position, coordinate))
-
-
 def _uniform(keys: np.ndarray, draw: int) -> np.ndarray:
     """draw-th U[0,1) variate of each key's counter stream."""
     with np.errstate(over="ignore"):
         bits = _mix(keys + np.uint64(draw + 1) * _GAMMA)
     return (bits >> np.uint64(11)) * 2.0**-53
+
+
+def _split_permutation(split_seed: int, n: int) -> np.ndarray:
+    """Seeded shuffle of 0..n-1 from the counter-based generator, so the
+    train/test split never depends on the numpy version: sample i sorts by
+    the first uniform of its event (_SPLIT_TAG, 0, 0)."""
+    words = _event_words(_SPLIT_TAG, 0, 0)
+    u = _uniform(_mix(_sample_keys(split_seed, np.arange(n)) ^ words), 0)
+    return np.argsort(u, kind="stable")
 
 
 def _polar(keys: np.ndarray, draw: int):
@@ -300,23 +300,3 @@ def sde_exact_gbm(times, values, a: float, b: float, y0: float) -> np.ndarray:
     if values.shape[-1] != 1:
         raise ValueError("geometric Brownian target is scalar (d = 1)")
     return y0 * np.exp(a * np.asarray(times, dtype=float) + b * values[..., 0])
-
-
-def stratonovich_reference(
-    times, values, functional: LinearFunctional, eval_times
-) -> np.ndarray:
-    """Evaluate a linear functional on the signature stream of the
-    time-extended interpolation of (..., K, d) values on `times` (K,), at
-    the breakpoints nearest eval_times; returns (...,) + eval_times.shape.
-
-    On a fine lattice this is the proxy for the corresponding functional of
-    the underlying Brownian signature.
-    """
-    times = np.asarray(times, dtype=float)
-    eval_times = np.asarray(eval_times, dtype=float)
-    if (eval_times < times[0]).any() or (eval_times > times[-1]).any():
-        raise ValueError(f"eval times outside [{times[0]}, {times[-1]}]")
-    idx = nearest_breakpoints(times, eval_times).ravel()
-    unique_idx, inverse = np.unique(idx, return_inverse=True)
-    out = functional.apply_stream(times, values, eval_idx=unique_idx)
-    return out[..., inverse].reshape(out.shape[:-1] + eval_times.shape)

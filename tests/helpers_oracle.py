@@ -6,9 +6,10 @@ by one dense Chen product per breakpoint in local tensor arithmetic, Hoelder
 norms by explicit pairwise maxima or a plain lag loop (also over a refined
 grid), shuffles by enumerating interleavings, products of one-dimensional
 tensors by series convolution, minimum-norm and ridge least squares by
-scipy's own LAPACK bindings.  The levy rows oracle is the exception: it
-runs the library's sampler and streams over each chunk whole, to check the
-runner's slicing rather than the kernels.
+scipy's own LAPACK bindings, and ridge solutions exactly in rationals.  The
+levy rows oracle is the exception: it runs the library's sampler and streams
+over each chunk whole, to check the runner's slicing rather than the
+kernels, but snaps its reference to the nearest fine breakpoints itself.
 """
 
 import itertools
@@ -154,15 +155,23 @@ def refined_holder_oracle(times, values, alpha, m):
     return lag_scan_oracle(grid, hat_grid, alpha)
 
 
+def nearest_breakpoints(times, query):
+    """Index of the breakpoint nearest each query time (ties go left)."""
+    pos = np.clip(np.searchsorted(times, query), 1, times.size - 1)
+    left_closer = np.abs(query - times[pos - 1]) <= np.abs(times[pos] - query)
+    return np.where(left_closer, pos - 1, pos)
+
+
 def levy_rows_oracle(cfg):
     """The rows of `experiments.run_levy` by its whole-chunk loop: each
-    chunk of _LEVY_CHUNK paths (read at call time) is sampled at once, and
-    each depth adds the sum of the chunk's quadrature terms in chunk order.
-    The sliced runner must keep these bits."""
+    chunk of _LEVY_CHUNK paths (read at call time) is sampled at once, its
+    reference read at the fine breakpoints nearest the eval times, and each
+    depth adds the sum of the chunk's quadrature terms in chunk order. The
+    sliced, strided runner must keep these bits."""
     from sigpath import experiments as ex
     from sigpath.paths import dyadic_times
     from sigpath.regress import trapezoid_weights
-    from sigpath.stochastic import sample_brownian_batch, stratonovich_reference
+    from sigpath.stochastic import sample_brownian_batch
 
     functional = ex.LEVY_TARGETS[cfg.target]
     depths = sorted(cfg.depths)
@@ -170,11 +179,12 @@ def levy_rows_oracle(cfg):
     eval_times = dyadic_times(cfg.T, eval_depth)
     fine_times = dyadic_times(cfg.T, cfg.n_max)
     weights = trapezoid_weights(eval_times)
+    ref_idx = nearest_breakpoints(fine_times, eval_times)
     acc = {dep: 0.0 for dep in depths}
     for start in range(0, cfg.n_samples, ex._LEVY_CHUNK):
         idx = np.arange(start, min(start + ex._LEVY_CHUNK, cfg.n_samples))
         fine = sample_brownian_batch(cfg.seed, idx, 2, cfg.T, cfg.n_max)
-        ref_vals = stratonovich_reference(fine_times, fine, functional, eval_times)
+        ref_vals = functional.apply_stream(fine_times, fine, eval_idx=ref_idx)
         for dep in depths:
             stride = 2 ** (cfg.n_max - dep)
             coarse = ex._upsample_dyadic(fine[:, ::stride, :], eval_depth - dep)
@@ -233,6 +243,36 @@ def ridge_oracle(lhs, xty):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         return scipy.linalg.solve(lhs, xty, assume_a="pos")
+
+
+def exact_ridge_oracle(X_tr, y_tr, lam):
+    """Ridge coefficients of the float system (X'X + lam I) b = X'y solved
+    exactly: every entry is a Fraction, the symmetric positive definite
+    system is eliminated without pivoting, and only the solution is
+    rounded."""
+    from fractions import Fraction
+
+    X = [[Fraction(v) for v in row] for row in X_tr.tolist()]
+    y = [Fraction(v) for v in y_tr.tolist()]
+    n = len(X[0])
+    cols = list(zip(*X))
+    a = [
+        [sum(p * q for p, q in zip(cols[i], cols[j])) for j in range(n)]
+        + [sum(p * q for p, q in zip(cols[i], y))]
+        for i in range(n)
+    ]
+    for i in range(n):
+        a[i][i] += Fraction(lam)
+    for k in range(n):
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            if f:
+                a[i] = [u - f * v for u, v in zip(a[i], a[k])]
+    beta = [Fraction(0)] * n
+    for k in reversed(range(n)):
+        rest = sum(a[k][j] * beta[j] for j in range(k + 1, n))
+        beta[k] = (a[k][n] - rest) / a[k][k]
+    return np.array([float(b) for b in beta])
 
 
 def series_product_1d(a, b):

@@ -11,7 +11,7 @@ from sigpath.signature import LinearFunctional, signature, signature_stream
 from sigpath.stochastic import sample_brownian_batch
 from sigpath.tensor import total_entries
 from sigpath.words import all_words
-from helpers_oracle import lstsq_oracle, ridge_oracle
+from helpers_oracle import exact_ridge_oracle, lstsq_oracle, ridge_oracle
 
 
 def brownian_features(seed, n, depth, level, mode="terminal"):
@@ -242,6 +242,27 @@ def test_ridge_fit_matches_cholesky_oracle(case, lam):
     assert np.abs(X @ got - X @ want).max() <= tol * max(1.0, np.abs(y).max())
     if np.linalg.matrix_rank(X[train]) == width:
         assert np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize(
+    "d, level, n, seed", [(1, 4, 10, 7), (1, 4, 15, 3), (2, 3, 10, 4), (2, 3, 15, 2)]
+)
+def test_default_ridge_matches_the_exact_solution(d, level, n, seed):
+    # the default lam leaves cond(lhs) near 1e9 on a few paths; a plain LU
+    # solve of the normal equations is then off by up to 5e-8, the refined
+    # solve by rounding. With more columns than training rows the ridge fit
+    # interpolates, so the exact solution itself moves only at rounding level
+    # when X does (with fewer, e.g. d = 1 at level 3, it moves by about 1e-9)
+    times = dyadic_times(1.0, 3)
+    values = sample_brownian_batch(seed, np.arange(n), d, 1.0, 3)
+    feats = rg.features_from_values(times, values, level)
+    x = feats.matrix[:, feats.words.index((1,))]
+    y = np.sin(3.0 * x) + x * feats.matrix[:, -1]
+    report = rg.fit(feats, y, split_seed=seed)
+    train = _train_rows(feats, seed)
+    want = exact_ridge_oracle(feats.matrix[train], y[train], report.lam)
+    got = report.functional.coefficient_vector()
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _report_bits(report):

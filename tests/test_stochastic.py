@@ -6,6 +6,7 @@ import pytest
 import sigpath.stochastic as sto
 from sigpath.paths import dyadic_times
 from sigpath.signature import LinearFunctional, levy_area_functional
+from helpers_oracle import nearest_breakpoints
 
 
 def test_lattice_starts_at_zero():
@@ -157,37 +158,29 @@ def test_gbm_lognormal_mean():
 
 
 def test_reference_time_and_coordinate_functionals():
+    # the levy reference reads the stream at every 2**(n - e)-th breakpoint
     times = dyadic_times(1.0, 8)
     w = sto.sample_brownian_batch(41, [0], 1, 1.0, 8)[0]
-    ts = dyadic_times(1.0, 5)
+    strided = np.arange(2**5 + 1) * 2**3
 
-    time_values = sto.stratonovich_reference(
-        times, w, LinearFunctional(2, 1, {(0,): 1.0}), ts
+    time_values = LinearFunctional(2, 1, {(0,): 1.0}).apply_stream(
+        times, w, eval_idx=strided
     )
-    assert np.allclose(time_values, ts, atol=1e-12)
+    assert np.allclose(time_values, dyadic_times(1.0, 5), atol=1e-12)
 
-    coord = sto.stratonovich_reference(
-        times, w, LinearFunctional(2, 1, {(1,): 1.0}), ts
-    )
+    coord = LinearFunctional(2, 1, {(1,): 1.0}).apply_stream(times, w, eval_idx=strided)
     assert np.allclose(coord, w[::8, 0], atol=1e-12)
-
-    with pytest.raises(ValueError):
-        sto.stratonovich_reference(
-            times, w, LinearFunctional(2, 1, {(0,): 1.0}), [2.0]
-        )
 
 
 def test_reference_self_consistency_across_depths():
     # the two finest references nearly agree, and both sit far from a coarse one
     n = 100
-    ts = dyadic_times(1.0, 4)
     area = levy_area_functional()
     r10, r9, r4 = (
-        sto.stratonovich_reference(
+        area.apply_stream(
             dyadic_times(1.0, depth),
             sto.sample_brownian_batch(17, np.arange(n), 2, 1.0, depth),
-            area,
-            ts,
+            eval_idx=np.arange(2**4 + 1) * 2 ** (depth - 4),
         )
         for depth in (10, 9, 4)
     )
@@ -201,31 +194,32 @@ def test_targets_on_a_batch_equal_per_path_calls():
     w1 = sto.sample_brownian_batch(5, np.arange(6), 1, 1.0, 6)
     w2 = sto.sample_brownian_batch(5, np.arange(6), 2, 1.0, 6)
     area = levy_area_functional()
-    ts = np.array([[0.0, 0.3], [0.51, 1.0]])  # off-breakpoint, 2-D
+    strided = np.arange(2**3 + 1) * 2**3
     gbm = sto.sde_exact_gbm(times, w1, 0.3, 0.8, 1.5)
-    ref = sto.stratonovich_reference(times, w2, area, ts)
-    assert gbm.shape == (6, times.size) and ref.shape == (6, 2, 2)
+    ref = area.apply_stream(times, w2, eval_idx=strided)
+    assert gbm.shape == (6, times.size) and ref.shape == (6, strided.size)
     for i in range(6):
         assert np.array_equal(gbm[i], sto.sde_exact_gbm(times, w1[i], 0.3, 0.8, 1.5))
-        assert np.array_equal(
-            ref[i], sto.stratonovich_reference(times, w2[i], area, ts)
-        )
-    nested = sto.stratonovich_reference(times, w2.reshape(2, 3, -1, 2), area, ts)
-    assert np.array_equal(nested, ref.reshape(2, 3, 2, 2))
+        assert np.array_equal(ref[i], area.apply_stream(times, w2[i], eval_idx=strided))
+    nested = area.apply_stream(times, w2.reshape(2, 3, -1, 2), eval_idx=strided)
+    assert np.array_equal(nested, ref.reshape(2, 3, -1))
 
 
 def test_reference_at_dyadic_times_reads_the_strided_breakpoints():
-    # the levy runner's reference: the breakpoints nearest a coarser dyadic
-    # grid are exactly every 2**(n - e)-th fine breakpoint, for any T
+    # the levy runner's eval grid: the breakpoints nearest a coarser dyadic
+    # grid are exactly every 2**(n - e)-th fine breakpoint, for any T, and
+    # streaming only those rows keeps the bits of the full stream
     area = levy_area_functional()
-    for T in (1.0, 2.5, 0.3):
+    strided = np.arange(2**5 + 1) * 2**4
+    for T in (1.0, 2.5, 0.3, 7 / 3):
         fine_times = dyadic_times(T, 9)
-        fine = sto.sample_brownian_batch(3, np.arange(4), 2, T, 9)
-        ref = sto.stratonovich_reference(fine_times, fine, area, dyadic_times(T, 5))
-        strided = area.apply_stream(
-            fine_times, fine, eval_idx=np.arange(2**5 + 1) * 2**4
+        assert np.array_equal(
+            nearest_breakpoints(fine_times, dyadic_times(T, 5)), strided
         )
-        assert np.array_equal(ref, strided)
+        fine = sto.sample_brownian_batch(3, np.arange(4), 2, T, 9)
+        full = area.apply_stream(fine_times, fine)
+        ref = area.apply_stream(fine_times, fine, eval_idx=strided)
+        assert np.array_equal(ref, full[:, strided])
 
 
 def test_reference_peak_memory_is_below_one_time_extended_copy():
@@ -233,13 +227,13 @@ def test_reference_peak_memory_is_below_one_time_extended_copy():
     # time-extended copy of the lattice alone would take 24 MiB
     fine_times = dyadic_times(1.0, 14)
     fine = sto.sample_brownian_batch(2, np.arange(64), 2, 1.0, 14)
-    area, eval_times = levy_area_functional(), dyadic_times(1.0, 11)
-    sto.stratonovich_reference(fine_times[:3], fine[:2, :3], area, [0.0])  # warm up
+    area, strided = levy_area_functional(), np.arange(2**11 + 1) * 2**3
+    area.apply_stream(fine_times[:3], fine[:2, :3], eval_idx=[0])  # warm up
     tracemalloc.start()
     try:
-        ref = sto.stratonovich_reference(fine_times, fine, area, eval_times)
+        ref = area.apply_stream(fine_times, fine, eval_idx=strided)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert ref.shape == (64, eval_times.size)
+    assert ref.shape == (64, strided.size)
     assert peak < 64 * fine_times.size * 3 * 8
