@@ -36,12 +36,7 @@ from .signature import (
     segment_signature,
     signature_stream,
 )
-from .stochastic import (
-    VectorField,
-    make_vector_field,
-    sample_brownian_batch,
-    sde_exact_gbm,
-)
+from .stochastic import sample_brownian_batch, sde_exact_gbm
 from .regress import FeatureMatrix, FitReport, fit, lp_error
 from .experiments import ConfigError, ExperimentConfig, NumericalError, run_config
 

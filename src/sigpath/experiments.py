@@ -28,7 +28,6 @@ from .stochastic import (
     MAX_DEPTH,
     MAX_DIM,
     VECTOR_FIELDS,
-    make_vector_field,
     sample_brownian_batch,
     sde_exact_gbm,
     solve_ode_batch,
@@ -189,8 +188,9 @@ class ExperimentConfig:
             raise ConfigError("depths and levels must not repeat an entry")
         if c.n_max > MAX_DEPTH or any(not 0 <= dep <= c.n_max for dep in c.depths):
             raise ConfigError(f"depths must lie in 0..n_max and n_max <= {MAX_DEPTH}")
-        if c.n_samples < 10:
-            raise ConfigError("n_samples must be >= 10")
+        if not 10 <= c.n_samples <= 2**48:
+            # 2**48 depth-0 lattices (two floats each) alone need 4 PiB
+            raise ConfigError("n_samples must lie in [10, 2**48]")
         if c.p < 1:
             raise ConfigError("p must be >= 1")
         if not 1.0 / 3.0 < c.alpha < 0.5:
@@ -279,13 +279,13 @@ def _regression_target(cfg, times, values):
         y = FUNCTIONAL_TARGETS[cfg.target](times, values[..., 0])
         return cfg.target, "terminal", values, y, 0
     if cfg.kind == "ode":
-        vf = make_vector_field(cfg.field, d=cfg.d, a=cfg.a, b=cfg.b)
-        y_table, blown = solve_ode_batch(times, values, vf, cfg.y0, cfg.substeps)
+        field = VECTOR_FIELDS[cfg.field](cfg.a, cfg.b)
+        y_table, blown = solve_ode_batch(times, values, field, cfg.y0, cfg.substeps)
         n_excluded = int(blown.sum())
         if n_excluded:
             values = values[~blown]
             y_table = y_table[~blown]
-        return cfg.field, "stopped", values, y_table[..., 0], n_excluded
+        return cfg.field, "stopped", values, y_table, n_excluded
     y = sde_exact_gbm(times, values, cfg.a, cfg.b, cfg.y0)
     return "gbm", "stopped", values, y, 0
 

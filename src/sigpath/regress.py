@@ -105,7 +105,12 @@ def features_from_values(
 
 @dataclass
 class FitReport:
-    """Fitted functional plus train/test errors and solver diagnostics."""
+    """Fitted functional plus train/test errors and solver diagnostics.
+
+    normal_eq_residual is norm(lhs @ beta - xty) of the rounded normal
+    equations: it shows how those were rounded, not how accurate beta is,
+    and can grow as the solve improves.
+    """
 
     functional: LinearFunctional
     lam: float
@@ -166,6 +171,13 @@ def fit(
     warn: overflowing normal equations raise FloatingPointError before any
     solve, and an overflowing error is returned as inf; the residual norm is
     rescaled when only its squares overflow.
+
+    normal_eq_residual is norm(lhs @ beta - xty) of the rounded normal
+    equations, lhs = X'X + lam I and xty = X'y.  It measures how those were
+    rounded, not how accurate beta is, and it can grow as the solve
+    improves: refinement took a depth-8, level-2 functional fit from 5.3e-9
+    to 5e-17 relative to the exact solution, and its residual from 1.2e-13
+    to 3.6e-12.
     """
     level = features.level if level is None else level
     if not 0 <= level <= features.level:

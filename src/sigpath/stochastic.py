@@ -12,16 +12,11 @@ to the lattice generated directly at that depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 __all__ = [
     "VECTOR_FIELDS",
-    "VectorField",
     "sample_brownian_batch",
-    "make_vector_field",
     "solve_ode_batch",
     "sde_exact_gbm",
 ]
@@ -180,115 +175,54 @@ def sample_brownian_batch(seed, sample_indices, d, T, n_max) -> np.ndarray:
 # -- vector fields and the segment ODE ----------------------------------------
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """Drift (t, y) -> (..., m) and diffusion (t, y) -> (..., m, d)."""
-
-    name: str
-    m: int
-    d: int
-    drift: Callable
-    diffusion: Callable
-
-
-def _zero_drift_identity(d, a, b):
-    """dY = dW^pi in R^d."""
-    eye = np.eye(d)
-
-    def drift(t, y):
-        return np.zeros_like(y)
-
-    def diffusion(t, y):
-        return np.broadcast_to(eye, y.shape[:-1] + (d, d))
-
-    return drift, diffusion
-
-
-def _linear(d, a, b):
-    """dY = a Y dt + b Y dW^pi, scalar."""
-    if d != 1:
-        raise ValueError("linear field is scalar (d = 1)")
-
-    def drift(t, y):
-        return a * y
-
-    def diffusion(t, y):
-        return (b * y)[..., None]
-
-    return drift, diffusion
-
-
-def _tanh_bounded(d, a, b):
-    """dY = tanh(Y) (dt + dW^pi), scalar."""
-    if d != 1:
-        raise ValueError("tanh-bounded field is scalar (d = 1)")
-
-    def drift(t, y):
-        return np.tanh(y)
-
-    def diffusion(t, y):
-        return np.tanh(y)[..., None]
-
-    return drift, diffusion
-
-
-# name -> (d, a, b) -> (drift, diffusion) of a field on R^d driven by R^d
+# name -> (a, b) -> (drift, diffusion), functions of the state y of a scalar
+# autonomous field driven by one Brownian coordinate: dY = drift dt +
+# diffusion dW^pi.
 VECTOR_FIELDS = {
-    "zero-drift-identity": _zero_drift_identity,
-    "linear": _linear,
-    "tanh-bounded": _tanh_bounded,
+    "zero-drift-identity": lambda a, b: (np.zeros_like, np.ones_like),
+    "linear": lambda a, b: (lambda y: a * y, lambda y: b * y),
+    "tanh-bounded": lambda a, b: (np.tanh, np.tanh),
 }
 
 
-def make_vector_field(name: str, d: int = 1, a: float = 0.0, b: float = 1.0) -> VectorField:
-    """Named built-in fields; `a` and `b` parameterize the linear field."""
-    if not isinstance(name, str) or name not in VECTOR_FIELDS:
-        raise ValueError(f"unknown vector field {name!r}")
-    drift, diffusion = VECTOR_FIELDS[name](d, a, b)
-    return VectorField(name, d, d, drift, diffusion)
-
-
-def solve_ode_batch(times, raw_values, vf: VectorField, y0, substeps: int):
+def solve_ode_batch(times, raw_values, field, y0: float, substeps: int):
     """Classical RK4 along a piecewise linear driver, batched over paths.
 
-    times : (K,) shared partition; raw_values : (..., K, d) spatial
-    coordinates of the driver.  On each segment the driver contributes the
-    constant slope v, giving dY = (mu(t, Y) + sigma(t, Y) v) dt.
+    times : (K,) shared partition; raw_values : (..., K, 1) the driver; field
+    : a (drift, diffusion) pair of VECTOR_FIELDS.  On each segment the driver
+    has the constant slope v, giving dY = (drift(Y) + diffusion(Y) v) dt.
 
-    Returns (Y, blown) where Y is (..., K, m) and `blown` flags paths that
-    left the finite range (their trailing values are frozen at the last
-    finite state).
+    Returns (Y, blown) where Y is (..., K) and `blown` flags paths that left
+    the finite range (their trailing values are frozen at the last finite
+    state).
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
+    drift, diffusion = field
     times = np.asarray(times, dtype=float)
-    raw_values = np.asarray(raw_values, dtype=float)
-    batch = raw_values.shape[:-2]
-    n_pts = times.size
-    y = np.broadcast_to(np.asarray(y0, dtype=float), batch + (vf.m,)).copy()
-    out = np.empty(batch + (n_pts, vf.m))
-    out[..., 0, :] = y
-    blown = np.zeros(batch, dtype=bool)
+    raw = np.asarray(raw_values, dtype=float)[..., 0]
+    y = np.full(raw.shape[:-1], float(y0))
+    out = np.empty(raw.shape)
+    out[..., 0] = y
+    blown = np.zeros(y.shape, dtype=bool)
 
-    def rhs(t, state, slope):
-        sig = vf.diffusion(t, state)
-        return vf.drift(t, state) + np.einsum("...md,...d->...m", sig, slope)
+    def rhs(state):  # reads the current segment's slope
+        return drift(state) + diffusion(state) * slope
 
-    for k in range(n_pts - 1):
+    for k in range(times.size - 1):
         dt = times[k + 1] - times[k]
-        slope = (raw_values[..., k + 1, :] - raw_values[..., k, :]) / dt
+        slope = (raw[..., k + 1] - raw[..., k]) / dt
         h = dt / substeps
-        for j in range(substeps):
-            t = times[k] + j * h
-            k1 = rhs(t, y, slope)
-            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1, slope)
-            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2, slope)
-            k4 = rhs(t + h, y + h * k3, slope)
+        for _ in range(substeps):
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * h * k1)
+            k3 = rhs(y + 0.5 * h * k2)
+            k4 = rhs(y + h * k3)
             y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            bad = ~np.isfinite(y_new).all(axis=-1)
-            y = np.where(bad[..., None], y, y_new)
+            bad = ~np.isfinite(y_new)
+            y = np.where(bad, y, y_new)
             blown |= bad
-        out[..., k + 1, :] = y
+        out[..., k + 1] = y
     return out, blown
 
 

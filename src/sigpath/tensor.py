@@ -48,19 +48,6 @@ def exceeds_max_words(dim: int, level: int) -> bool:
     return level >= MAX_WORDS or total_entries(dim, level) > MAX_WORDS
 
 
-# -- block kernels -----------------------------------------------------------
-
-
-def zero_blocks(dim, level):
-    return [np.zeros(dim**n) for n in range(level + 1)]
-
-
-def unit_blocks(dim, level):
-    blocks = zero_blocks(dim, level)
-    blocks[0][0] = 1.0
-    return blocks
-
-
 def mul_blocks(a, b, dim):
     """Truncated product: level n of the result is sum_k a[k] (x) b[n-k]."""
     level = len(a) - 1
@@ -71,34 +58,6 @@ def mul_blocks(a, b, dim):
             term = np.outer(a[k], b[n - k]).reshape(dim**n)
             acc = term if acc is None else acc + term
         out.append(acc)
-    return out
-
-
-def exp_blocks(a, dim):
-    """Tensor exponential of a block list with zero scalar part.
-
-    Uses the nesting 1 + a (1 + a/2 (1 + a/3 (...))), which terminates at
-    the truncation order because `a` has no level-0 component.
-    """
-    level = len(a) - 1
-    result = unit_blocks(dim, level)
-    for k in range(level, 0, -1):
-        result = mul_blocks([blk / k for blk in a], result, dim)
-        result[0] = result[0] + 1.0
-    return result
-
-
-def log_blocks(g, dim):
-    """Tensor logarithm of a block list with unit scalar part."""
-    level = len(g) - 1
-    x = [np.array(blk, copy=True) for blk in g]
-    x[0] = x[0] - 1.0
-    out = [np.array(blk, copy=True) for blk in x]
-    power = x
-    for k in range(2, level + 1):
-        power = mul_blocks(power, x, dim)
-        coeff = (-1.0) ** (k + 1) / k
-        out = [o + coeff * p for o, p in zip(out, power)]
     return out
 
 
@@ -165,11 +124,11 @@ GroupLikeTensor = TruncatedTensor
 
 
 def zeros(dim: int, level: int) -> TruncatedTensor:
-    return TruncatedTensor(dim, level, zero_blocks(dim, level))
+    return TruncatedTensor(dim, level, [np.zeros(dim**n) for n in range(level + 1)])
 
 
 def unit(dim: int, level: int) -> TruncatedTensor:
-    return TruncatedTensor(dim, level, unit_blocks(dim, level))
+    return basis_element((), dim, level)
 
 
 def basis_element(word, dim: int, level: int) -> TruncatedTensor:
@@ -177,7 +136,7 @@ def basis_element(word, dim: int, level: int) -> TruncatedTensor:
     n = len(word)
     if n > level:
         raise ValueError(f"word length {n} exceeds level {level}")
-    blocks = zero_blocks(dim, level)
+    blocks = zeros(dim, level).coeffs
     blocks[n][word_to_offset(word, dim)[1]] = 1.0
     return TruncatedTensor(dim, level, blocks)
 
@@ -206,17 +165,32 @@ def mul(a: TruncatedTensor, b: TruncatedTensor) -> TruncatedTensor:
 
 
 def exp(a: TruncatedTensor) -> TruncatedTensor:
-    """Tensor exponential; requires zero level-0 coefficient."""
+    """Tensor exponential; requires zero level-0 coefficient.
+
+    Uses the nesting 1 + a (1 + a/2 (1 + a/3 (...))), which terminates at
+    the truncation order because `a` has no level-0 component.
+    """
     if a.coeffs[0][0] != 0.0:
         raise ValueError("exp requires a zero level-0 coefficient")
-    return TruncatedTensor(a.dim, a.level, exp_blocks(a.coeffs, a.dim))
+    result = unit(a.dim, a.level).coeffs
+    for k in range(a.level, 0, -1):
+        result = mul_blocks([blk / k for blk in a.coeffs], result, a.dim)
+        result[0] = result[0] + 1.0
+    return TruncatedTensor(a.dim, a.level, result)
 
 
 def log(g: TruncatedTensor) -> TruncatedTensor:
     """Tensor logarithm; requires unit level-0 coefficient."""
     if g.coeffs[0][0] != 1.0:
         raise ValueError("log requires a unit level-0 coefficient")
-    return TruncatedTensor(g.dim, g.level, log_blocks(g.coeffs, g.dim))
+    x = [blk.copy() for blk in g.coeffs]
+    x[0] -= 1.0
+    out = power = x
+    for k in range(2, g.level + 1):
+        power = mul_blocks(power, x, g.dim)
+        coeff = (-1.0) ** (k + 1) / k
+        out = [o + coeff * p for o, p in zip(out, power)]
+    return TruncatedTensor(g.dim, g.level, out)
 
 
 def level_norm(a: TruncatedTensor, n: int) -> float:

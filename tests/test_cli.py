@@ -31,7 +31,7 @@ from sigpath.experiments import (
     run_regression,
 )
 from sigpath.paths import dyadic_times
-from sigpath.stochastic import sample_brownian_batch
+from sigpath.stochastic import sample_brownian_batch, solve_ode_batch
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -230,6 +230,9 @@ def test_config_errors_exit_2(tmp_path):
         small_functional_config(levels=[40]),
         # and without raising 2 to a huge power
         small_functional_config(levels=[10**18]),
+        # more paths than any machine holds, rejected before any allocation
+        *({"kind": "functional", "depths": [2], "levels": [1], "n_samples": n}
+          for n in (2**60, 10**30, 2**63 - 1)),
     ]
     for i, payload in enumerate(bad):
         cfg = write_config(tmp_path, f"bad{i}.json", payload)
@@ -316,9 +319,9 @@ def test_bad_out_exits_2_before_the_run(tmp_path, monkeypatch, case):
     assert not (tmp_path / "o.csv").exists()
 
 
-# Tiny values per config key, all valid but the huge d and level 40: no config
-# drawn here asks for more than 40 paths on a 2^14 lattice (levy's default
-# n_max).
+# Tiny values per config key, all valid but the huge d, n_samples and level 40:
+# no config drawn here runs more than 40 paths on a 2^14 lattice (levy's
+# default n_max).
 CONFIG_FIELDS = {
     "seed": st.integers(0, 2**64 - 1),
     "d": st.one_of(st.integers(1, 2), st.sampled_from([257, 10**12])),
@@ -327,7 +330,7 @@ CONFIG_FIELDS = {
     "levels": st.lists(
         st.one_of(st.integers(1, 3), st.just(40)), min_size=1, max_size=2
     ),
-    "n_samples": st.integers(10, 40),
+    "n_samples": st.one_of(st.integers(10, 40), st.sampled_from([2**60, 10**30])),
     "p": st.sampled_from([1, 2.0, 3.5]),
     "alpha": st.sampled_from([0.34, 0.4, 0.49]),
     "beta": st.sampled_from([0.01, 0.05, 500.0]),
@@ -342,9 +345,10 @@ CONFIG_FIELDS = {
     "substeps": st.integers(1, 4),
     "n_max": st.integers(0, 10),
 }
-# Mistyped and out-of-range values; no large integer, since a valid huge
-# n_samples would be accepted and allocated (CONFIG_FIELDS draws huge d and m:
-# d above 256 is rejected before any allocation, and m is recorded only).
+# Mistyped and out-of-range values; no large integer, since a huge substeps
+# has no bound and would run.  CONFIG_FIELDS draws the huge values that are
+# rejected before any allocation (d above 256, n_samples above 2**48) or only
+# recorded (m).
 BAD_VALUES = st.sampled_from(
     ["x", "8", -1, 0, 2.5, True, None, [], [-1], [2.5], {}, float("nan"), "mystery"]
 )
@@ -615,8 +619,15 @@ def test_traced_benchmark_op_records_its_spans(tmp_path, payload):
             cfg, str(tmp_path / "o.csv"), str(result), "1", "0"]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    spans = {span["name"] for span in json.loads(result.read_text())["spans"]}
-    assert {"experiments.driver", "stochastic.sample", "experiments.write"} <= spans
+    spans = json.loads(result.read_text())["spans"]
+    names = {span["name"] for span in spans}
+    assert {"experiments.driver", "stochastic.sample", "experiments.write"} <= names
+    ode = [span["counts"] for span in spans if span["name"] == "stochastic.ode"]
+    if payload["kind"] == "ode":
+        # 10 paths of 9 points, 8 segments of 4 substeps each
+        assert ode == [{"points_per_path": 9, "rk4_steps": 320, "excluded": 0}]
+    else:
+        assert ode == []
 
 
 def test_every_public_name_resolves():
@@ -794,25 +805,23 @@ def test_rows_carry_config_hash(tmp_path):
 
 
 def test_ode_blowups_excluded_and_counted():
-    # steep driver plus strong linear growth makes some samples explode
+    # a driver that blows up next to a tame one, through the target step the
+    # runner takes: the steep path is counted and dropped with its targets
     cfg = ExperimentConfig.from_dict(
-        {
-            "kind": "ode",
-            "seed": 1,
-            "field": "linear",
-            "a": 0.0,
-            "b": 40.0,
-            "levels": [1],
-            "n_samples": 30,
-            "depths": [2],
-            "substeps": 1,
-            "lam": 0.0,
-        }
+        {"kind": "ode", "field": "linear", "a": 0.0, "b": 50.0, "substeps": 1}
     )
+    times = np.arange(41.0)
+    tame = 0.01 * np.sin(times)
+    drivers = np.stack([np.arange(0.0, 4100.0, 100.0), tame])[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, _ = run_regression(cfg)
-    assert rows[0]["n_excluded"] >= 0  # runs to completion either way
-    assert math.isfinite(rows[0]["test_error"])
+        label, mode, kept, y, n_excluded = experiments._regression_target(
+            cfg, times, drivers
+        )
+    assert (label, mode, n_excluded) == ("linear", "stopped", 1)
+    assert np.array_equal(kept, drivers[1:])
+    field = VECTOR_FIELDS["linear"](0.0, 50.0)
+    alone, blown = solve_ode_batch(times, drivers[1:], field, 1.0, substeps=1)
+    assert not blown.any() and np.array_equal(y, alone)
 
 
 def test_sde_samples_each_depth_and_ignores_n_max(monkeypatch):

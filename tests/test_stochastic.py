@@ -94,26 +94,26 @@ def test_rejects_bad_depth():
 
 def test_identity_field_reproduces_driver():
     w = sto.sample_brownian_batch(5, [0], 1, 1.0, 6)[0]
-    vf = sto.make_vector_field("zero-drift-identity", d=1)
-    y, _ = sto.solve_ode_batch(dyadic_times(1.0, 6), w, vf, [0.0], substeps=2)
-    assert np.allclose(y[:, 0], w[:, 0], atol=1e-12)
+    field = sto.VECTOR_FIELDS["zero-drift-identity"](0.0, 1.0)
+    y, _ = sto.solve_ode_batch(dyadic_times(1.0, 6), w, field, 0.0, substeps=2)
+    assert np.allclose(y, w[:, 0], atol=1e-12)
 
 
 def test_linear_field_matches_closed_form():
     rng = np.random.default_rng(0)
     times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.2, 10))])
     x = np.concatenate([[0.0], np.cumsum(rng.normal(0.0, 0.3, 10))])
-    vf = sto.make_vector_field("linear", a=0.0, b=1.0)
-    y, _ = sto.solve_ode_batch(times, x[:, None], vf, [1.0], substeps=16)
-    assert np.abs(y[:, 0] - np.exp(x)).max() <= 1e-8
+    field = sto.VECTOR_FIELDS["linear"](0.0, 1.0)
+    y, _ = sto.solve_ode_batch(times, x[:, None], field, 1.0, substeps=16)
+    assert np.abs(y - np.exp(x)).max() <= 1e-8
 
 
 def test_rk4_order_via_richardson():
     times, x = [0.0, 0.4, 1.0], [[0.0], [1.1], [0.3]]
-    vf = sto.make_vector_field("tanh-bounded")
+    field = sto.VECTOR_FIELDS["tanh-bounded"](0.0, 1.0)
 
     def terminal(substeps):
-        return sto.solve_ode_batch(times, x, vf, [0.7], substeps)[0][-1, 0]
+        return sto.solve_ode_batch(times, x, field, 0.7, substeps)[0][-1]
 
     ref = terminal(512)
     err = [abs(terminal(s) - ref) for s in (2, 4)]
@@ -125,9 +125,9 @@ def test_ode_blowup_is_reported():
     # up next to a tame one
     times = np.arange(41.0)
     drivers = np.stack([np.arange(0.0, 4100.0, 100.0), np.zeros(41)])[..., None]
-    vf = sto.make_vector_field("linear", a=0.0, b=50.0)
+    field = sto.VECTOR_FIELDS["linear"](0.0, 50.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        y, blown = sto.solve_ode_batch(times, drivers, vf, [1.0], substeps=1)
+        y, blown = sto.solve_ode_batch(times, drivers, field, 1.0, substeps=1)
     assert blown.tolist() == [True, False]
     assert np.isfinite(y).all()
 
