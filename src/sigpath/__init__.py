@@ -2,16 +2,12 @@
 approximation of path functionals, random ODEs, and SDE targets."""
 
 from .tensor import (
-    GroupLikeTensor,
     TruncatedTensor,
-    add,
     basis_element,
     exp,
-    level_norm,
     log,
     mul,
     norm,
-    scale,
     total_entries,
     unit,
     zeros,
@@ -30,7 +26,6 @@ from .paths import (
 )
 from .signature import (
     LinearFunctional,
-    SignatureStream,
     levy_area_functional,
     reverse_check,
     segment_signature,

@@ -210,8 +210,11 @@ class ExperimentConfig:
             _lookup(VECTOR_FIELDS, c.field, "vector field")
             if c.d != 1:
                 raise ConfigError("ode experiment drives a scalar field (d = 1)")
-            if c.substeps < 1:
-                raise ConfigError("substeps must be >= 1")
+            # RK4 steps per path, bounded by the deepest lattice's positions
+            if not 1 <= c.substeps * 2 ** max(c.depths) <= 2**MAX_DEPTH:
+                raise ConfigError(
+                    f"substeps must be >= 1 and substeps * 2**depth <= 2**{MAX_DEPTH}"
+                )
         if c.kind == "sde" and c.d != 1:
             raise ConfigError("sde experiment is scalar (d = 1)")
         if c.kind == "levy":

@@ -75,10 +75,6 @@ class FeatureMatrix:
         """The (n_samples * rows_per_sample, D) design matrix view."""
         return self.table.reshape(-1, self.table.shape[2])
 
-    @property
-    def n_samples(self) -> int:
-        return self.table.shape[0]
-
 
 def features_from_values(
     times: np.ndarray, values: np.ndarray, level: int, mode: str = "terminal"

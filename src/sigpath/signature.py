@@ -13,20 +13,10 @@ from functools import lru_cache
 import numpy as np
 
 from .paths import PiecewiseLinearPath
-from .tensor import (
-    GroupLikeTensor,
-    TruncatedTensor,
-    add,
-    mul,
-    norm,
-    scale,
-    total_entries,
-    unit,
-)
+from .tensor import TruncatedTensor, mul, norm, total_entries, unit
 from .words import all_words, check_word, word_to_offset
 
 __all__ = [
-    "SignatureStream",
     "LinearFunctional",
     "segment_signature",
     "signature",
@@ -38,7 +28,7 @@ __all__ = [
 ]
 
 
-def segment_signature(increment, level: int) -> GroupLikeTensor:
+def segment_signature(increment, level: int) -> TruncatedTensor:
     """Signature of a single line segment with the given increment: that of
     the one-segment path from 0 to `increment` on [0, 1]."""
     increment = np.atleast_1d(np.asarray(increment, dtype=float))
@@ -46,7 +36,7 @@ def segment_signature(increment, level: int) -> GroupLikeTensor:
     return signature(segment, level)
 
 
-def signature(path: PiecewiseLinearPath, level: int) -> GroupLikeTensor:
+def signature(path: PiecewiseLinearPath, level: int) -> TruncatedTensor:
     """Signature of the whole path on [0, T], truncated at `level`: the
     last row of its stream table."""
     words = _own_words(path.dim, level)
@@ -234,26 +224,11 @@ def _chunk_word_streams(times, values, steps, columns, local, out, carry, last):
             cache[word, kind] = arr
 
 
-@dataclass(frozen=True, eq=False)
-class SignatureStream:
-    """Signatures on [0, t_k] for every breakpoint t_k of one path: a view
-    on its (K, D) stream table; stream[k] is the tensor at t_k."""
-
-    times: np.ndarray
-    dim: int
-    level: int
-    table: np.ndarray
-
-    def __len__(self):
-        return self.table.shape[0]
-
-    def __getitem__(self, k) -> GroupLikeTensor:
-        return _tensor_from_row(self.table[k], self.dim, self.level)
-
-
-def signature_stream(path: PiecewiseLinearPath, level: int) -> SignatureStream:
+def signature_stream(path: PiecewiseLinearPath, level: int) -> list:
+    """Signatures on [0, t_k] for every breakpoint t_k of the path: one
+    tensor per breakpoint, rows of its word_streams table."""
     table = word_streams(path.times, path.values, _own_words(path.dim, level))
-    return SignatureStream(path.times.copy(), path.dim, level, table)
+    return [_tensor_from_row(row, path.dim, level) for row in table]
 
 
 @dataclass(frozen=True)
@@ -277,7 +252,7 @@ class LinearFunctional:
             clean[word] = float(value)
         object.__setattr__(self, "coeffs", clean)
 
-    def apply(self, g: GroupLikeTensor) -> float:
+    def apply(self, g: TruncatedTensor) -> float:
         if g.dim != self.dim:
             raise ValueError(f"dim mismatch: {g.dim} vs {self.dim}")
         if g.level < self.level:
@@ -343,5 +318,4 @@ def reverse_check(path: PiecewiseLinearPath, level: int) -> float:
     """Norm of sig(path) (x) sig(reversed path) minus the unit tensor."""
     fwd = signature(path, level)
     bwd = signature(path.reversed(), level)
-    residual = add(mul(fwd, bwd), scale(-1.0, unit(path.dim, level)))
-    return norm(residual)
+    return norm(mul(fwd, bwd) - unit(path.dim, level))

@@ -15,18 +15,14 @@ from .words import word_to_offset
 
 __all__ = [
     "TruncatedTensor",
-    "GroupLikeTensor",
     "total_entries",
     "zeros",
     "unit",
     "basis_element",
-    "add",
-    "scale",
     "mul",
     "exp",
     "log",
     "norm",
-    "level_norm",
 ]
 
 
@@ -66,7 +62,8 @@ def mul_blocks(a, b, dim):
 
 @dataclass(frozen=True, eq=False)
 class TruncatedTensor:
-    """Element of the order-`level` truncated tensor algebra over R^dim."""
+    """Element of the order-`level` truncated tensor algebra over R^dim;
+    signatures, its group-like elements, are stored the same way."""
 
     dim: int
     level: int
@@ -104,23 +101,18 @@ class TruncatedTensor:
         return np.concatenate(self.coeffs)
 
     def __add__(self, other):
-        return add(self, other)
+        _check_compatible(self, other)
+        return TruncatedTensor(
+            self.dim, self.level, [x + y for x, y in zip(self.coeffs, other.coeffs)]
+        )
 
     def __sub__(self, other):
-        return add(self, scale(-1.0, other))
-
-    def __neg__(self):
-        return scale(-1.0, self)
+        return self + -1.0 * other
 
     def __mul__(self, lam):
-        return scale(lam, self)
+        return TruncatedTensor(self.dim, self.level, [lam * blk for blk in self.coeffs])
 
     __rmul__ = __mul__
-
-
-# Group-like elements (unit scalar part, shuffle relation) are represented by
-# the same storage; the distinction is semantic and checked in tests.
-GroupLikeTensor = TruncatedTensor
 
 
 def zeros(dim: int, level: int) -> TruncatedTensor:
@@ -147,15 +139,6 @@ def _check_compatible(a: TruncatedTensor, b: TruncatedTensor):
             f"incompatible tensors: dim/level ({a.dim},{a.level}) vs "
             f"({b.dim},{b.level})"
         )
-
-
-def add(a: TruncatedTensor, b: TruncatedTensor) -> TruncatedTensor:
-    _check_compatible(a, b)
-    return TruncatedTensor(a.dim, a.level, [x + y for x, y in zip(a.coeffs, b.coeffs)])
-
-
-def scale(lam: float, a: TruncatedTensor) -> TruncatedTensor:
-    return TruncatedTensor(a.dim, a.level, [lam * blk for blk in a.coeffs])
 
 
 def mul(a: TruncatedTensor, b: TruncatedTensor) -> TruncatedTensor:
@@ -193,13 +176,6 @@ def log(g: TruncatedTensor) -> TruncatedTensor:
     return TruncatedTensor(g.dim, g.level, out)
 
 
-def level_norm(a: TruncatedTensor, n: int) -> float:
-    """Euclidean norm of the level-n coefficient block."""
-    if not 0 <= n <= a.level:
-        raise ValueError(f"level {n} outside 0..{a.level}")
-    return float(np.linalg.norm(a.coeffs[n]))
-
-
 def norm(a: TruncatedTensor) -> float:
-    """Largest level norm over levels 0..N."""
-    return max(level_norm(a, n) for n in range(a.level + 1))
+    """Largest Euclidean norm of a level block over levels 0..N."""
+    return max(float(np.linalg.norm(blk)) for blk in a.coeffs)

@@ -9,7 +9,6 @@ import itertools
 from functools import lru_cache
 
 __all__ = [
-    "Word",
     "check_word",
     "word_to_offset",
     "offset_to_word",
@@ -17,9 +16,6 @@ __all__ = [
     "shuffle",
     "apply_shuffle_check",
 ]
-
-Word = tuple
-
 
 def check_word(word, dim: int):
     for letter in word:

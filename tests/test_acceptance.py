@@ -90,7 +90,7 @@ def test_criterion_2_time_coordinate_identity():
     for _ in range(10):
         hat = time_extend(random_pl_path(rng, 12, 1))
         stream = signature_stream(hat, 5)
-        for tensor, t in zip(stream, stream.times):
+        for tensor, t in zip(stream, hat.times):
             for k in range(6):
                 expected = t**k / math.factorial(k)
                 assert abs(tensor.coefficient((0,) * k) - expected) <= 1e-12

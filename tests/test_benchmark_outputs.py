@@ -6,13 +6,13 @@ each CSV and `.functionals.json` with `benchmarks/reference_hashes.json`, the
 table the benchmark checks its own outputs against.
 """
 
-import hashlib
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
+from helpers_hashes import mismatch_note, output_hashes
 from sigpath.cli import main
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -37,7 +37,5 @@ def test_benchmark_outputs_match_the_reference_hashes(tmp_path, workload):
         cfg.write_text(json.dumps(dict(config, seed=0)))
         out = tmp_path / f"{label}.csv"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        for path in (out, tmp_path / f"{label}.functionals.json"):
-            if path.exists():
-                hashes[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert hashes == REFERENCE[workload]["0"]
+        hashes.update(output_hashes(out))
+    assert hashes == REFERENCE[workload]["0"], mismatch_note()

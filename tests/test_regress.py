@@ -185,7 +185,9 @@ def test_feature_rows_are_time_extended_single_path_signatures():
     singles = [signature(time_extend(p), 3).flat() for p in paths]
     assert np.array_equal(terminal, np.stack(singles)[:, None])
     stopped = rg.features_from_values(times, values, 3, "stopped").table
-    streams = [signature_stream(time_extend(p), 3).table for p in paths]
+    streams = [
+        np.stack([g.flat() for g in signature_stream(time_extend(p), 3)]) for p in paths
+    ]
     assert np.array_equal(stopped, np.stack(streams))
 
 

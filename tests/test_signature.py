@@ -100,7 +100,7 @@ def test_time_coordinate_identity():
     rng = np.random.default_rng(3)
     hat = time_extend(random_pl_path(rng, 6, 1))
     stream = signature_stream(hat, 5)
-    for tensor, t in zip(stream, stream.times):
+    for tensor, t in zip(stream, hat.times):
         for k in range(6):
             assert tensor.coefficient((0,) * k) == pytest.approx(
                 t**k / math.factorial(k), abs=1e-12

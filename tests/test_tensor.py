@@ -39,9 +39,10 @@ def test_add_examples():
 
 def test_scale_examples():
     a = tn.TruncatedTensor(1, 1, [1.0, [1.0]])
-    assert np.array_equal(tn.scale(0.0, a).flat(), [0.0, 0.0])
-    assert np.array_equal(tn.scale(1.0, a).flat(), a.flat())
-    assert np.array_equal(tn.scale(2.0, a).flat(), [2.0, 2.0])
+    assert np.array_equal((0.0 * a).flat(), [0.0, 0.0])
+    assert np.array_equal((1.0 * a).flat(), a.flat())
+    assert np.array_equal((2.0 * a).flat(), [2.0, 2.0])
+    assert np.array_equal((a * 2.0).flat(), [2.0, 2.0])
 
 
 def test_mul_expands_convolution():
@@ -65,7 +66,7 @@ def test_mul_unit_neutral():
 
 def test_mul_exp_inverse_matches_series_oracle():
     g = tn.exp(tn.basis_element((0,), 1, 4))
-    h = tn.exp(tn.scale(-1.0, tn.basis_element((0,), 1, 4)))
+    h = tn.exp(-1.0 * tn.basis_element((0,), 1, 4))
     prod = tn.mul(g, h)
     oracle = series_product_1d(
         [b[0] for b in g.coeffs], [b[0] for b in h.coeffs]
@@ -105,11 +106,8 @@ def test_log_examples():
 
 def test_norm_examples():
     assert tn.norm(tn.unit(2, 3)) == 1.0
-    assert tn.level_norm(tn.exp(tn.basis_element((0,), 1, 2)), 2) == 0.5
     a = tn.TruncatedTensor(2, 1, [1.0, [3.0, 4.0]])
     assert tn.norm(a) == 5.0
-    with pytest.raises(ValueError):
-        tn.level_norm(a, 2)
 
 
 def test_storage_matches_dimension_formula():
@@ -125,7 +123,7 @@ def test_shape_validation_and_mismatches():
     with pytest.raises(ValueError):
         tn.TruncatedTensor(1, 1, [np.nan, [0.0]])
     with pytest.raises(ValueError):
-        tn.add(tn.zeros(2, 2), tn.zeros(2, 3))
+        tn.zeros(2, 2) + tn.zeros(2, 3)
     with pytest.raises(ValueError):
         tn.mul(tn.zeros(2, 2), tn.zeros(3, 2))
 
@@ -178,6 +176,6 @@ def test_dilation_grading(data):
     blocks[1] = vec
     a = tn.TruncatedTensor(dim, level, blocks)
     g = tn.exp(a)
-    g_lam = tn.exp(tn.scale(lam, a))
+    g_lam = tn.exp(lam * a)
     for n in range(level + 1):
         assert np.allclose(g_lam.coeffs[n], lam**n * g.coeffs[n], atol=1e-12)
