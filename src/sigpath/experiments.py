@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -74,17 +74,10 @@ _LEVY_SLICE_FLOATS = 2**20
 _MOMENT_CHUNK = 2500
 
 
-# Field types checked by ExperimentConfig.from_dict.  Values keep the type
-# they were given (an int p stays int), so config_hash is unchanged for every
-# config that parses.
-_INT_KEYS = ("seed", "d", "n_samples", "m", "substeps", "n_max")
-_INT_LIST_KEYS = ("depths", "levels")
-_NUMBER_KEYS = ("T", "p", "alpha", "beta", "gamma", "lam", "a", "b", "y0")
-
-
 def _check_int(key, value):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _int_list(key, value) -> tuple:
@@ -117,6 +110,24 @@ def _check_number(key, value):
         finite = False
     if not finite:
         raise ConfigError(f"{key} must be finite, got {value!r}")
+    return value
+
+
+def _check_str(key, value):
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+# The checker of each ExperimentConfig annotation.  Values keep the type they
+# were given (an int p stays int), so every config_hash is unchanged.
+_FIELD_CHECKS = {
+    "int": _check_int,
+    "tuple": _int_list,
+    "float": _check_number,
+    "float | None": lambda key, value: value if value is None else _check_number(key, value),
+    "str": _check_str,
+}
 
 
 @dataclass(frozen=True)
@@ -143,7 +154,6 @@ class ExperimentConfig:
     y0: float = 1.0
     substeps: int = 4
     n_max: int = 14
-    out: str | None = None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -152,22 +162,11 @@ class ExperimentConfig:
         raw = dict(raw)
         kind = raw.pop("kind", None)
         merged = dict(_lookup(EXPERIMENT_KINDS, kind, "experiment kind")[1])
-        known = set(cls.__dataclass_fields__) - {"kind"}
+        field_types = {f.name: f.type for f in fields(cls) if f.name != "kind"}
         for key, value in raw.items():
-            if key not in known:
+            if key not in field_types:
                 raise ConfigError(f"unknown config key {key!r}")
-            merged[key] = value
-        for key in _INT_LIST_KEYS:
-            if key in merged:
-                merged[key] = _int_list(key, merged[key])
-        for key in _INT_KEYS:
-            if key in merged:
-                _check_int(key, merged[key])
-        for key in _NUMBER_KEYS:
-            if key in merged and not (key == "lam" and merged[key] is None):
-                _check_number(key, merged[key])
-        if merged.get("out") is not None and not isinstance(merged["out"], str):
-            raise ConfigError(f"out must be a path string, got {merged['out']!r}")
+            merged[key] = _FIELD_CHECKS[field_types[key]](key, value)
         if "n_max" not in merged and kind in ("functional", "ode", "moments"):
             # empty depths fall through to validate's non-empty check
             merged["n_max"] = max(merged.get("depths", cls.depths), default=0)
@@ -177,8 +176,7 @@ class ExperimentConfig:
 
     def validate(self):
         c = self
-        _lookup(EXPERIMENT_KINDS, c.kind, "experiment kind")
-        if not isinstance(c.seed, int) or not 0 <= c.seed < 2**64:
+        if not 0 <= c.seed < 2**64:
             raise ConfigError("seed must be an integer in [0, 2**64)")
         if not 1 <= c.d <= MAX_DIM or c.T <= 0:
             raise ConfigError(f"need 1 <= d <= {MAX_DIM} and T > 0")
@@ -221,26 +219,18 @@ class ExperimentConfig:
             if c.d != 2:
                 raise ConfigError("levy experiment needs d = 2")
             _lookup(LEVY_TARGETS, c.target, "levy target")
-        if c.kind in ("sde", "levy") and max(c.depths) > c.n_max - 4:
-            raise ConfigError(
-                f"{c.kind} depths must stay >= 4 levels below the reference n_max"
-            )
+            if max(c.depths) > c.n_max - 4:
+                raise ConfigError(
+                    "levy depths must stay >= 4 levels below the reference n_max"
+                )
 
     def config_hash(self) -> str:
         payload = asdict(self)
-        payload.pop("out")
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 # -- shared helpers -------------------------------------------------------------
-
-
-def _sample_values(cfg, depth) -> np.ndarray:
-    """(n_samples, 2**depth + 1, d) Brownian values on the depth grid itself."""
-    return sample_brownian_batch(
-        cfg.seed, np.arange(cfg.n_samples), cfg.d, cfg.T, depth
-    )
 
 
 def _regression_row(cfg, target, depth, level, n_excluded, report):
@@ -302,9 +292,11 @@ def run_regression(cfg: ExperimentConfig):
         times = dyadic_times(cfg.T, depth)
         # ODE blow-ups are excluded and other overflows rejected below
         with np.errstate(over="ignore", invalid="ignore"):
-            label, mode, values, y, n_excluded = _regression_target(
-                cfg, times, _sample_values(cfg, depth)
+            # Brownian values on the depth grid itself
+            values = sample_brownian_batch(
+                cfg.seed, np.arange(cfg.n_samples), cfg.d, cfg.T, depth
             )
+            label, mode, values, y, n_excluded = _regression_target(cfg, times, values)
         if not len(values):
             raise NumericalError(
                 f"no path kept at depth {depth}: all {n_excluded} excluded"
@@ -330,8 +322,6 @@ def run_regression(cfg: ExperimentConfig):
 def _upsample_dyadic(values: np.ndarray, gap: int) -> np.ndarray:
     """Insert 2**gap - 1 linearly interpolated points per segment; the
     trajectory is unchanged, only the partition refines."""
-    if gap == 0:
-        return values
     frac = np.arange(2**gap) / 2**gap
     left = values[:, :-1, None, :]
     right = values[:, 1:, None, :]
@@ -439,7 +429,6 @@ def run_moments(cfg: ExperimentConfig):
         times = dyadic_times(cfg.T, depth)
         total = total_sq = half_total = 0.0
         n_half = cfg.n_samples // 2
-        seen = 0
         for start in range(0, cfg.n_samples, _MOMENT_CHUNK):
             idx = np.arange(start, min(start + _MOMENT_CHUNK, cfg.n_samples))
             values = sample_brownian_batch(cfg.seed, idx, cfg.d, cfg.T, depth)
@@ -456,9 +445,8 @@ def run_moments(cfg: ExperimentConfig):
             x = np.exp(args)
             total += float(x.sum())
             total_sq += float((x**2).sum())
-            if seen < n_half:
-                half_total += float(x[: max(0, n_half - seen)].sum())
-            seen += idx.size
+            if start < n_half:
+                half_total += float(x[: max(0, n_half - start)].sum())
         estimate = total / cfg.n_samples
         var = max(total_sq / cfg.n_samples - estimate**2, 0.0)
         var *= cfg.n_samples / max(cfg.n_samples - 1, 1)
@@ -557,7 +545,7 @@ EXPERIMENT_KINDS = {
 
 def run_config(cfg: ExperimentConfig, out: str | None = None, append: bool = False):
     """Run one experiment config and persist results; returns (csv_path, rows)."""
-    csv_path = out or cfg.out or f"{cfg.kind}-results.csv"
+    csv_path = out or f"{cfg.kind}-results.csv"
     reports_path = _reports_path(csv_path)
     if os.path.isdir(csv_path):
         raise ConfigError(f"results path {csv_path} is a directory")

@@ -134,6 +134,7 @@ def sample_brownian_batch(seed, sample_indices, d, T, n_max) -> np.ndarray:
         raise ValueError(f"n_max {n_max} exceeds {MAX_DEPTH}")
     if n_max < 0 or not 1 <= d <= MAX_DIM or T <= 0:
         raise ValueError(f"need n_max >= 0, 1 <= d <= {MAX_DIM}, T > 0")
+    T = float(T)  # an int beyond int64 would reach np.sqrt as an object
     samples = np.asarray(sample_indices, dtype=np.int64)
     if (samples < 0).any() or int(seed) < 0:
         raise ValueError("seed and sample indices must be non-negative")

@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -227,7 +228,6 @@ def test_config_errors_exit_2(tmp_path):
         small_functional_config(alpha=0.6),
         small_functional_config(n_samples=5),
         small_functional_config(unknown_key=1),
-        {"kind": "sde", "depths": [8], "n_max": 10},  # depth gap < 4
         # the levy eval grid (depth 11) would be finer than the lattice
         {"kind": "levy", "depths": [10], "n_max": 10},
         {"kind": "levy", "d": 1},
@@ -252,6 +252,10 @@ def test_config_errors_exit_2(tmp_path):
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
 
 
+# every config field but `kind`, which is looked up before any field check
+CHECKED_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)][1:]
+
+
 @pytest.mark.parametrize(
     "payload, extra",
     [
@@ -273,12 +277,17 @@ def test_config_errors_exit_2(tmp_path):
         ({"kind": {}}, []),
         ({"kind": "functional", "target": []}, []),
         ({"kind": "levy", "target": {}}, []),
+        # every field is type-checked, also one its kind never reads
+        *((small_functional_config(**{name: True}), []) for name in CHECKED_FIELDS),
+        # the output path is --out or run_config(out=...), not a config key
+        (small_functional_config(out="o.csv"), []),
     ],
     ids=["float-n_samples", "string-p", "string-lam", "json-list",
          "json-list-seed-override", "bool-seed", "fractional-depth", "nan-T",
          "null-T", "empty-depths-functional", "empty-depths-ode",
          "empty-depths-moments", "list-kind", "object-kind",
-         "list-functional-target", "object-levy-target"],
+         "list-functional-target", "object-levy-target",
+         *(f"true-{name}" for name in CHECKED_FIELDS), "out-key"],
 )
 def test_mistyped_config_exits_2(tmp_path, payload, extra):
     cfg = write_config(tmp_path, "bad.json", payload)
@@ -338,7 +347,7 @@ def test_bad_out_exits_2_before_the_run(tmp_path, monkeypatch, case):
 CONFIG_FIELDS = {
     "seed": st.integers(0, 2**64 - 1),
     "d": st.one_of(st.integers(1, 2), st.sampled_from([257, 10**12])),
-    "T": st.sampled_from([0.5, 1.0, 2.5, 1e100]),
+    "T": st.sampled_from([0.5, 1.0, 2.5, 1e100, 10**30]),
     "depths": st.lists(st.integers(0, 6), min_size=1, max_size=2),
     "levels": st.lists(
         st.one_of(st.integers(1, 3), st.just(40)), min_size=1, max_size=2
@@ -358,13 +367,14 @@ CONFIG_FIELDS = {
     "substeps": st.one_of(st.integers(1, 4), st.just(10**30)),
     "n_max": st.integers(0, 10),
 }
-# Mistyped and out-of-range values.  No large integer: the integer keys
-# reject one before any allocation or only record it (m), but a float key
-# given 10**30 (T) still fails with a TypeError.  CONFIG_FIELDS draws the huge
-# values that are rejected (d above 256, n_samples above 2**48, substeps past
-# 2**24 RK4 steps per path) or only recorded (m).
+# Mistyped and out-of-range values.  10**30 is rejected before any allocation
+# by every integer key but m, which only records it, and runs as a float key
+# (exit 0 or 3).  CONFIG_FIELDS draws the valid values of each key next to its
+# huge ones (d above 256, n_samples above 2**48, substeps past 2**24 RK4 steps
+# per path, m, T).
 BAD_VALUES = st.sampled_from(
-    ["x", "8", -1, 0, 2.5, True, None, [], [-1], [2.5], {}, float("nan"), "mystery"]
+    ["x", "8", -1, 0, 2.5, True, None, [], [-1], [2.5], {}, float("nan"), "mystery",
+     10**30]
 )
 
 
@@ -392,6 +402,19 @@ def test_run_exit_code_contract(payload):
         code = main(["run", "--config", cfg, "--out", str(out)])
         assert code in (0, 2, 3)
         assert out.exists() == (code == 0)
+
+
+@pytest.mark.parametrize("kind", list(EXPERIMENT_KINDS))
+def test_huge_integer_T_runs_or_exits_3(tmp_path, kind):
+    # a JSON integer beyond int64 reaches the sampler as a Python int
+    payload = {"kind": kind, "depths": [2], "levels": [1], "n_samples": 20, "T": 10**30}
+    if kind == "levy":
+        payload["n_max"] = 7
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    out = tmp_path / "o.csv"
+    code = main(["run", "--config", cfg, "--out", str(out)])
+    assert code in (0, 3)
+    assert out.exists() == (code == 0)
 
 
 def check_example_hashes(hashes, name):
@@ -882,7 +905,7 @@ def test_sde_samples_each_depth_and_ignores_n_max(monkeypatch):
         "n_samples": 200, "lam": 0.0,
     }
     results = {}
-    for n_max in (12, 14):
+    for n_max in (8, 12, 14):
         sampled.clear()
         cfg = ExperimentConfig.from_dict({**payload, "n_max": n_max})
         rows, reports = run_regression(cfg)
@@ -891,4 +914,4 @@ def test_sde_samples_each_depth_and_ignores_n_max(monkeypatch):
             [{k: v for k, v in row.items() if k != "config_hash"} for row in rows],
             reports,
         )
-    assert results[12] == results[14]
+    assert results[8] == results[12] == results[14]
