@@ -12,7 +12,7 @@ from .tensor import (
     unit,
     zeros,
 )
-from .words import all_words, apply_shuffle_check, offset_to_word, shuffle, word_to_offset
+from .words import all_words, apply_shuffle_check, shuffle, word_to_offset
 from .paths import (
     PathFormatError,
     PiecewiseLinearPath,

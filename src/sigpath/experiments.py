@@ -330,16 +330,15 @@ def _upsample_dyadic(values: np.ndarray, gap: int) -> np.ndarray:
     return np.concatenate([dense, values[:, -1:, :]], axis=1)
 
 
-def _levy_slice_terms(cfg, functional, idx, depths, eval_times, weights, out):
+def _levy_slice_terms(
+    cfg, functional, idx, depths, eval_depth, fine_times, eval_idx, eval_times,
+    weights, out,
+):
     """Write the weighted |delta|^p quadrature terms of the paths `idx` into
     `out` (depths, paths, eval points): delta is each depth's interpolation
-    against the depth-n_max reference.  The slice's lattice and temporaries
-    die on return, before the next slice is sampled."""
-    eval_depth = depths[-1] + 1
-    fine_times = dyadic_times(cfg.T, cfg.n_max)
-    fine = sample_brownian_batch(cfg.seed, idx, 2, cfg.T, cfg.n_max)
-    # the eval grid is every 2**(n_max - eval_depth)-th fine breakpoint
-    eval_idx = np.arange(eval_times.size) * 2 ** (cfg.n_max - eval_depth)
+    against the depth-n_max reference, on the run's grids.  The slice's
+    lattice and temporaries die on return, before the next slice is sampled."""
+    fine = sample_brownian_batch(cfg.seed, idx, cfg.d, cfg.T, cfg.n_max)
     ref_vals = functional.apply_stream(fine_times, fine, eval_idx=eval_idx)
     for i, dep in enumerate(depths):
         stride = 2 ** (cfg.n_max - dep)
@@ -354,7 +353,7 @@ def run_levy(cfg: ExperimentConfig):
     interpolation and along the depth-n_max reference, on one quadrature grid.
 
     Paths run in chunks of _LEVY_CHUNK. A chunk is sampled and streamed in
-    slices of max(1, _LEVY_SLICE_FLOATS // (2 * 2**n_max)) paths (32 at
+    slices of max(1, _LEVY_SLICE_FLOATS // (d * 2**n_max)) paths (32 at
     n_max 14, one word_streams block), so one slice's fine lattice is held at
     a time. Each slice writes its quadrature terms into its rows of the
     chunk's (depths, chunk, 2**eval_depth + 1) array `terms`; each depth then
@@ -367,35 +366,36 @@ def run_levy(cfg: ExperimentConfig):
     # All depths are compared on one quadrature grid strictly finer than the
     # finest experiment depth (coordinate functionals have no error at their
     # own breakpoints); coarse paths are refined onto it without change.
-    eval_times = dyadic_times(cfg.T, depths[-1] + 1)
+    eval_depth = depths[-1] + 1
+    fine_times = dyadic_times(cfg.T, cfg.n_max)
+    eval_times = dyadic_times(cfg.T, eval_depth)
+    # the eval grid is every 2**(n_max - eval_depth)-th fine breakpoint
+    eval_idx = np.arange(eval_times.size) * 2 ** (cfg.n_max - eval_depth)
     weights = trapezoid_weights(eval_times)
-    n_slice = max(1, _LEVY_SLICE_FLOATS // (2 * 2**cfg.n_max))
-    acc = {dep: 0.0 for dep in depths}
+    n_slice = max(1, _LEVY_SLICE_FLOATS // (cfg.d * 2**cfg.n_max))
+    sums = [0.0] * len(depths)
     t0 = time.perf_counter()
     for start in range(0, cfg.n_samples, _LEVY_CHUNK):
         stop = min(start + _LEVY_CHUNK, cfg.n_samples)
         terms = np.empty((len(depths), stop - start, eval_times.size))
         for lo in range(start, stop, n_slice):
             idx = np.arange(lo, min(lo + n_slice, stop))
-            rows = terms[:, lo - start : lo - start + idx.size]
-            _levy_slice_terms(cfg, functional, idx, depths, eval_times, weights, rows)
+            _levy_slice_terms(
+                cfg, functional, idx, depths, eval_depth, fine_times, eval_idx,
+                eval_times, weights, terms[:, lo - start : lo - start + idx.size],
+            )
         with np.errstate(over="ignore"):
-            for i, dep in enumerate(depths):
-                acc[dep] += float(np.sum(terms[i]))
-    distances = {
-        dep: (acc[dep] / cfg.n_samples) ** (1.0 / cfg.p) for dep in depths
-    }
-    for dep, dist in distances.items():
+            sums = [acc + float(np.sum(t)) for acc, t in zip(sums, terms)]
+    distances = [(total / cfg.n_samples) ** (1.0 / cfg.p) for total in sums]
+    for dep, dist in zip(depths, distances):
         if not np.isfinite(dist):
             raise NumericalError(f"non-finite distance at depth {dep}")
-    if len(distances) >= 2 and all(d > 0 for d in distances.values()):
-        log2d = np.log2([distances[dep] for dep in depths])
-        slope = float(np.polyfit(depths, log2d, 1)[0])
+    if len(distances) >= 2 and all(d > 0 for d in distances):
+        slope = float(np.polyfit(depths, np.log2(distances), 1)[0])
     else:
         slope = float("nan")
     rows = []
-    for dep in depths:
-        dist = distances[dep]
+    for dep, dist in zip(depths, distances):
         rows.append(
             {
                 "experiment": "levy",
@@ -435,26 +435,22 @@ def run_moments(cfg: ExperimentConfig):
             norms = max_increment_ratio(
                 times, time_extend_values(times, values), cfg.alpha
             )
-            args = cfg.beta * cfg.p * norms**cfg.gamma
-            if args.max() > 700.0:
-                worst = float(norms[np.argmax(args)])
-                raise NumericalError(
-                    f"exp overflow at depth {depth}: holder norm {worst:.3g} "
-                    f"with beta={cfg.beta}; lower beta"
-                )
-            x = np.exp(args)
-            total += float(x.sum())
-            total_sq += float((x**2).sum())
-            if start < n_half:
-                half_total += float(x[: max(0, n_half - start)].sum())
+            # an overflowing weight or square is rejected with the sums below
+            with np.errstate(over="ignore"):
+                x = np.exp(cfg.beta * cfg.p * norms**cfg.gamma)
+                total += float(x.sum())
+                total_sq += float((x**2).sum())
+                if start < n_half:
+                    half_total += float(x[: n_half - start].sum())
+        if not (np.isfinite(total) and np.isfinite(total_sq)):
+            raise NumericalError(
+                f"non-finite moment sums at depth {depth} with beta={cfg.beta}"
+            )
         estimate = total / cfg.n_samples
         var = max(total_sq / cfg.n_samples - estimate**2, 0.0)
-        var *= cfg.n_samples / max(cfg.n_samples - 1, 1)
+        var *= cfg.n_samples / (cfg.n_samples - 1)
         std_error = float(np.sqrt(var / cfg.n_samples))
-        half_est = half_total / max(n_half, 1)
-        ratio = half_est / estimate
-        if not np.isfinite(estimate):
-            raise NumericalError(f"non-finite moment estimate at depth {depth}")
+        ratio = half_total / n_half / estimate
         rows.append(
             {
                 "experiment": "moments",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .signature import LinearFunctional, stream_table
-from .stochastic import _split_permutation
+from .stochastic import train_mask
 from .tensor import total_entries
 from .words import all_words
 
@@ -188,10 +188,8 @@ def fit(
     if lam is not None and lam < 0:
         raise ValueError("lam must be >= 0")
 
-    n_test = n_samples // 5
-    train = np.ones(n_samples, dtype=bool)
-    train[_split_permutation(split_seed, n_samples)[:n_test]] = False
-
+    train = train_mask(split_seed, n_samples)
+    n_test = n_samples - int(train.sum())
     X_tr = features.table[train, :, :n_cols].reshape(-1, n_cols)
     y_tr = y.reshape(n_samples, rows)[train].ravel()
     gram = X_tr.T @ X_tr
@@ -238,8 +236,8 @@ def fit(
         gram_eig_min=float(eigs[0]),
         gram_eig_max=float(eigs[-1]),
         rank_deficient=bool(rank_deficient),
-        n_train_samples=int(n_samples - n_test),
-        n_test_samples=int(n_test),
+        n_train_samples=n_samples - n_test,
+        n_test_samples=n_test,
     )
 
 

@@ -19,6 +19,7 @@ __all__ = [
     "sample_brownian_batch",
     "solve_ode_batch",
     "sde_exact_gbm",
+    "train_mask",
 ]
 
 # Bounds of the key layout (_event_words): positions of a depth-MAX_DEPTH
@@ -86,6 +87,14 @@ def _split_permutation(split_seed: int, n: int) -> np.ndarray:
     words = _event_words(_SPLIT_TAG, 0, 0)
     u = _uniform(_mix(_sample_keys(split_seed, np.arange(n)) ^ words), 0)
     return np.argsort(u, kind="stable")
+
+
+def train_mask(split_seed: int, n: int) -> np.ndarray:
+    """Training samples of the seeded 80/20 split of 0..n-1: the first n // 5
+    of the split permutation are held out for testing."""
+    train = np.ones(n, dtype=bool)
+    train[_split_permutation(split_seed, n)[: n // 5]] = False
+    return train
 
 
 def _polar(keys: np.ndarray, draw: int):

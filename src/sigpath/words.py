@@ -11,7 +11,6 @@ from functools import lru_cache
 __all__ = [
     "check_word",
     "word_to_offset",
-    "offset_to_word",
     "all_words",
     "shuffle",
     "apply_shuffle_check",
@@ -30,17 +29,6 @@ def word_to_offset(word, dim: int):
     for letter in word:
         offset = offset * dim + letter
     return len(word), offset
-
-
-def offset_to_word(level: int, offset: int, dim: int):
-    """Inverse of word_to_offset."""
-    if not 0 <= offset < dim**level:
-        raise ValueError(f"offset {offset} invalid for level {level}, dim {dim}")
-    letters = []
-    for _ in range(level):
-        letters.append(offset % dim)
-        offset //= dim
-    return tuple(reversed(letters))
 
 
 def all_words(dim: int, max_len: int):

@@ -222,34 +222,55 @@ def test_sweep_scripts_keep_every_fitted_functional(tmp_path, monkeypatch):
     assert {key.split("/")[0] for key in keys} == {"linear", "tanh-bounded", "gbm"}
 
 
-def test_config_errors_exit_2(tmp_path):
+def test_config_errors_exit_2(tmp_path, capsys):
+    scalar = {"depths": [3], "levels": [1], "n_samples": 10}
     bad = [
-        small_functional_config(target="no-such-target"),
-        small_functional_config(alpha=0.6),
-        small_functional_config(n_samples=5),
-        small_functional_config(unknown_key=1),
+        (small_functional_config(target="no-such-target"),
+         "unknown target 'no-such-target'"),
+        (small_functional_config(alpha=0.6), "alpha must lie in (1/3, 1/2)"),
+        (small_functional_config(n_samples=5), "n_samples must lie in [10, 2**48]"),
+        (small_functional_config(unknown_key=1), "unknown config key 'unknown_key'"),
         # the levy eval grid (depth 11) would be finer than the lattice
-        {"kind": "levy", "depths": [10], "n_max": 10},
-        {"kind": "levy", "d": 1},
-        {"kind": "mystery"},
-        {"kind": "sig"},  # not an experiment kind; `sigpath sig` prints one
+        ({"kind": "levy", "depths": [10], "n_max": 10},
+         "levy depths must stay >= 4 levels below the reference n_max"),
+        ({"kind": "levy", "d": 1}, "levy experiment needs d = 2"),
+        ({"kind": "mystery"}, "unknown experiment kind 'mystery'"),
+        # not an experiment kind; `sigpath sig` prints one
+        ({"kind": "sig"}, "unknown experiment kind 'sig'"),
         # coordinate 256 would share the Brownian keys of coordinate 0
-        {"kind": "moments", "d": 257, "depths": [2], "n_samples": 10},
+        ({"kind": "moments", "d": 257, "depths": [2], "n_samples": 10},
+         "need 1 <= d <= 256 and T > 0"),
         # 2**41 - 1 signature coordinates, rejected before any is enumerated
-        small_functional_config(levels=[40]),
+        (small_functional_config(levels=[40]), "levels exceed 4096 signature features"),
         # and without raising 2 to a huge power
-        small_functional_config(levels=[10**18]),
+        (small_functional_config(levels=[10**18]),
+         "levels exceed 4096 signature features"),
         # more paths than any machine holds, rejected before any allocation
-        *({"kind": "functional", "depths": [2], "levels": [1], "n_samples": n}
-          for n in (2**60, 10**30, 2**63 - 1)),
+        *(({"kind": "functional", "depths": [2], "levels": [1], "n_samples": n},
+           "n_samples must lie in [10, 2**48]") for n in (2**60, 10**30, 2**63 - 1)),
         # more RK4 steps per path than the deepest lattice has positions
-        *({"kind": "ode", "substeps": n, "depths": [1], "levels": [1], "n_samples": 10}
+        *(({"kind": "ode", "substeps": n, "depths": [1], "levels": [1], "n_samples": 10},
+           "substeps must be >= 1 and substeps * 2**depth <= 2**24")
           for n in (10**9, 10**30)),
-        {"kind": "ode", "depths": [24], "n_max": 24},  # 4 substeps of 2**24
+        ({"kind": "ode", "depths": [24], "n_max": 24},  # 4 substeps of 2**24
+         "substeps must be >= 1 and substeps * 2**depth <= 2**24"),
+        *((small_functional_config(seed=seed), "seed must be an integer in [0, 2**64)")
+          for seed in (-1, 2**64)),
+        (small_functional_config(n_max=3),
+         "depths must lie in 0..n_max and n_max <= 24"),
+        ({"kind": "levy", "n_max": 25}, "depths must lie in 0..n_max and n_max <= 24"),
+        (small_functional_config(p=0.5), "p must be >= 1"),
+        *((small_functional_config(**{key: value}), "need beta > 0, gamma >= 1, m >= 1")
+          for key, value in (("beta", 0.0), ("gamma", 0.5), ("m", 0))),
+        (small_functional_config(lam=-1.0), "lam must be >= 0"),
+        (small_functional_config(levels=[0, 1]), "levels must all be >= 1"),
+        ({"kind": "ode", "d": 2, **scalar}, "ode experiment drives a scalar field (d = 1)"),
+        ({"kind": "sde", "d": 2, **scalar}, "sde experiment is scalar (d = 1)"),
     ]
-    for i, payload in enumerate(bad):
+    for i, (payload, message) in enumerate(bad):
         cfg = write_config(tmp_path, f"bad{i}.json", payload)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert f"error: {message}" in capsys.readouterr().err, payload
 
 
 # every config field but `kind`, which is looked up before any field check
@@ -355,7 +376,9 @@ CONFIG_FIELDS = {
     "n_samples": st.one_of(st.integers(10, 40), st.sampled_from([2**60, 10**30])),
     "p": st.sampled_from([1, 2.0, 3.5]),
     "alpha": st.sampled_from([0.34, 0.4, 0.49]),
-    "beta": st.sampled_from([0.01, 0.05, 500.0]),
+    # 13.2 squares a moments weight past the float range (exponent above 354.9)
+    # while the weight itself stays finite
+    "beta": st.sampled_from([0.01, 0.05, 13.2, 500.0]),
     "gamma": st.sampled_from([1, 2.0]),
     "m": st.one_of(st.integers(1, 4), st.just(10**12)),
     "lam": st.sampled_from([None, 0.0, 1e-3, 1e-300]),
@@ -561,10 +584,23 @@ def test_singular_ridge_solve_exits_3(tmp_path):
           "n_samples": 10}, "normal equations overflow"),
         ({"kind": "functional", "T": 1e60, "depths": [2], "levels": [3],
           "n_samples": 10, "lam": 0.001}, "normal equations overflow"),
+        # an inf weighted distance on the eval grid
+        ({"kind": "levy", "n_max": 7, "depths": [2, 3], "n_samples": 10, "T": 1e200},
+         "non-finite distance at depth 2"),
+        # finite fits whose |residual|^p overflows
+        ({"kind": "functional", "depths": [3], "levels": [1], "n_samples": 20,
+          "p": 1e6}, "bad error value inf at depth 3, level 1"),
+        # the square sum overflows while every weight stays finite; at 13.4
+        # the squared estimate would overflow too
+        *(({"kind": "moments", "depths": [4], "n_samples": 200, "beta": beta,
+            "seed": 1}, f"non-finite moment sums at depth 4 with beta={beta}")
+          for beta in (13.2, 13.4)),
     ],
     ids=["ode-all-excluded", "functional-feature-overflow",
          "ode-feature-overflow", "ridge-default-gram-overflow",
-         "ridge-gram-overflow"],
+         "ridge-gram-overflow", "levy-distance-overflow",
+         "functional-error-overflow", "moments-beta-13.2",
+         "moments-beta-13.4"],
 )
 def test_overflow_or_empty_run_exits_3(tmp_path, capsys, payload, message):
     cfg = write_config(tmp_path, "cfg.json", payload)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import sigpath.regress as rg
 from sigpath.paths import PiecewiseLinearPath, dyadic_times, time_extend
 from sigpath.signature import LinearFunctional, signature, signature_stream
-from sigpath.stochastic import sample_brownian_batch
+from sigpath.stochastic import _split_permutation, sample_brownian_batch
 from sigpath.tensor import total_entries
 from sigpath.words import all_words
 from helpers_oracle import exact_ridge_oracle, lstsq_oracle, ridge_oracle
@@ -25,7 +25,7 @@ def _train_rows(feats, split_seed):
     fifth."""
     n_samples, rows = feats.table.shape[:2]
     train = np.ones(n_samples, dtype=bool)
-    train[rg._split_permutation(split_seed, n_samples)[: n_samples // 5]] = False
+    train[_split_permutation(split_seed, n_samples)[: n_samples // 5]] = False
     return np.repeat(train, rows)
 
 
