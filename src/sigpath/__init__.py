@@ -33,6 +33,6 @@ from .signature import (
 )
 from .stochastic import sample_brownian_batch, sde_exact_gbm
 from .regress import FeatureMatrix, FitReport, fit, lp_error
-from .experiments import ConfigError, ExperimentConfig, NumericalError, run_config
+from .experiments import ConfigError, ExperimentConfig, run_config
 
 __version__ = "0.1.0"

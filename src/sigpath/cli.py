@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .experiments import ConfigError, ExperimentConfig, NumericalError, run_config
+from .experiments import ConfigError, ExperimentConfig, run_config
 from .paths import PathFormatError, read_path_csv
 from .signature import _tensor_from_row, stream_table
 from .tensor import MAX_WORDS, exceeds_max_words
@@ -32,7 +32,7 @@ def _cmd_sig(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         row = stream_table(path.times, path.values, level, [path.n_segments])[0]
     if not np.isfinite(row).all():
-        raise NumericalError(f"signature overflows at level {level}")
+        raise FloatingPointError(f"signature overflows at level {level}")
     sig = _tensor_from_row(row, path.dim + 1, level)
     payload = {
         "dim": sig.dim,
@@ -93,7 +93,7 @@ def main(argv=None) -> int:
         # a config too large for this machine is an input error
         print(f"error: out of memory: {err}", file=sys.stderr)
         return 2
-    except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as err:
+    except (FloatingPointError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
 

@@ -92,9 +92,7 @@ def features_from_values(
     if mode not in ("terminal", "stopped"):
         raise ValueError(f"unknown mode {mode!r}")
     stopped = mode == "stopped"
-    # an overflow surfaces as FeatureMatrix's non-finite entry error
-    with np.errstate(over="ignore", invalid="ignore"):
-        table = stream_table(times, values, level, eval_idx=None if stopped else [n_pts - 1])
+    table = stream_table(times, values, level, eval_idx=None if stopped else [n_pts - 1])
     weights = trapezoid_weights(times) if stopped else None
     return FeatureMatrix(table, d + 1, level, weights)
 
@@ -141,7 +139,6 @@ def _functional_from_vector(beta: np.ndarray, dim: int, level: int) -> LinearFun
     return LinearFunctional(dim, level, coeffs)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def fit(
     features: FeatureMatrix,
     targets,
@@ -163,10 +160,11 @@ def fit(
     through `np.linalg.lstsq` with the singular-value cutoff rcond = 1e-10.
 
     lam = None selects the scale-aware default 1e-8 * trace(X'X) / n_cols;
-    the split is seeded, so reruns are bit-identical. Overflow does not
-    warn: overflowing normal equations raise FloatingPointError before any
-    solve, and an overflowing error is returned as inf; the residual norm is
-    rescaled when only its squares overflow.
+    the split is seeded, so reruns are bit-identical. Overflowing normal
+    equations raise FloatingPointError before any solve, and an overflowing
+    error is returned as inf; the residual norm is rescaled when only its
+    squares overflow. Whether an overflow also warns follows the caller's
+    np.errstate.
 
     normal_eq_residual is norm(lhs @ beta - xty) of the rounded normal
     equations, lhs = X'X + lam I and xty = X'y.  It measures how those were

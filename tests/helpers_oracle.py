@@ -10,6 +10,8 @@ scipy's own LAPACK bindings, and ridge solutions exactly in rationals.  The
 levy rows oracle is the exception: it runs the library's sampler and streams
 over each chunk whole, to check the runner's slicing rather than the
 kernels, but snaps its reference to the nearest fine breakpoints itself.
+The levy mean square oracle is exact: each error is expanded by hand as a
+quadratic form in the standardized Gaussian increments.
 """
 
 import itertools
@@ -217,6 +219,115 @@ def levy_rows_oracle(cfg):
         }
         for dep in depths
     ]
+
+
+def _polyline_functional(functional, const, lin, keep):
+    """(c, a, Q) at each vertex in `keep` of the functional along the
+    signature of the piecewise linear path through points affine in z:
+    point k is const[k] + lin[k] @ z, so a word of length one is affine and
+    a word of length two quadratic in z, read as c + a'z + z'Qz.  Level two
+    adds X^i dX^j + dX^i dX^j / 2 segment by segment, X the point less the
+    first one; products of affine terms are expanded by hand."""
+    if any(len(word) > 2 for word in functional.coeffs):
+        raise ValueError("the quadratic-form oracle covers levels 0 to 2 only")
+    nz = lin.shape[-1]
+    c, a, Q = functional.coeffs.get((), 0.0), np.zeros(nz), np.zeros((nz, nz))
+    pairs = [(w, v) for w, v in functional.coeffs.items() if len(w) == 2]
+    forms = []
+    for k in range(const.shape[0]):
+        if k:
+            x_c, x_a = const[k - 1] - const[0], lin[k - 1] - lin[0]
+            d_c, d_a = const[k] - const[k - 1], lin[k] - lin[k - 1]
+            for (i, j), v in pairs:
+                for (c1, a1), f in (((x_c[i], x_a[i]), 1.0), ((d_c[i], d_a[i]), 0.5)):
+                    c += v * f * c1 * d_c[j]
+                    a += v * f * (c1 * d_a[j] + d_c[j] * a1)
+                    Q += v * f * np.outer(a1, d_a[j])
+        if k in keep:
+            cc, aa = c, a.copy()
+            for (i,), v in ((w, v) for w, v in functional.coeffs.items() if len(w) == 1):
+                cc += v * (const[k, i] - const[0, i])
+                aa += v * (lin[k, i] - lin[0, i])
+            forms.append((cc, aa, Q.copy()))
+    return forms
+
+
+def levy_square_forms(cfg):
+    """Exact law of each depth's levy error at the eval times: (weights,
+    {depth: (c, a, Q)}) with delta_j = c[j] + a[j]'z + z'Q[j]z, z the 2 * 2**n_max
+    standardized fine increments of both coordinates, and weights the
+    trapezoid weights of the eval grid.  The reference is the fine polyline
+    read at its breakpoints; a depth's path is the polyline through every
+    2**(n_max - depth)-th fine point, read at eval points on its segments.
+    Time is the path's own clock, so both carry the exact eval times.  Q is
+    dense, (2**(eval_depth) + 1) x (2 * 2**n_max)**2 floats per depth, so keep
+    n_max at 8 or below."""
+    from sigpath.experiments import LEVY_TARGETS
+
+    n_fine, depths = 2**cfg.n_max, sorted(cfg.depths)
+    eval_depth = depths[-1] + 1
+    n_eval = 2**eval_depth
+    step = n_fine // n_eval  # fine segments per eval segment
+    # fine point k of coordinate c: sqrt(T / n_fine) times the sum of the
+    # first k standardized increments of that coordinate
+    lower = np.tril(np.ones((n_fine + 1, n_fine)), -1) * np.sqrt(cfg.T / n_fine)
+    fine_lin = np.zeros((n_fine + 1, 3, 2 * n_fine))
+    fine_lin[:, 1, :n_fine] = lower
+    fine_lin[:, 2, n_fine:] = lower
+    fine_const = np.zeros((n_fine + 1, 3))
+    fine_const[:, 0] = np.arange(n_fine + 1) * cfg.T / n_fine
+    eval_pos = np.arange(n_eval + 1) * step
+    functional = LEVY_TARGETS[cfg.target]
+    ref = _polyline_functional(functional, fine_const, fine_lin, set(eval_pos))
+    weights = np.full(n_eval + 1, cfg.T / n_eval)
+    weights[[0, -1]] /= 2
+    forms = {}
+    for dep in depths:
+        stride = n_fine // 2**dep
+        left = eval_pos // stride * stride
+        frac = (eval_pos - left) / stride
+        right = np.minimum(left + stride, n_fine)
+        frac = frac[:, None, None]
+        lin = (1 - frac) * fine_lin[left] + frac * fine_lin[right]
+        coarse = _polyline_functional(
+            functional, fine_const[eval_pos], lin, set(range(n_eval + 1))
+        )
+        forms[dep] = tuple(
+            np.array([cf[n] - rf[n] for cf, rf in zip(coarse, ref)]) for n in range(3)
+        )
+    return weights, forms
+
+
+def levy_mean_square_oracle(cfg):
+    """E[distance**2] per depth of `experiments.run_levy` at p = 2: the
+    weighted sum over eval times of E[delta_j**2] = (c + tr Q)**2 + |a|**2
+    + 2 |Q_sym|_F**2 (Isserlis' theorem for the quadratic part)."""
+    weights, forms = levy_square_forms(cfg)
+    out = {}
+    for dep, (c, a, Q) in forms.items():
+        sym = 0.5 * (Q + Q.transpose(0, 2, 1))
+        trace = np.trace(Q, axis1=1, axis2=2)
+        second = (
+            (c + trace) ** 2 + np.sum(a * a, axis=1) + 2 * np.sum(sym * sym, axis=(1, 2))
+        )
+        out[dep] = float(weights @ second)
+    return out
+
+
+def levy_square_draws(cfg, rng, n):
+    """n independent draws per depth of the per-path squared distance
+    sum_j w_j delta_j**2, with z from `rng`: a Monte Carlo of the law the
+    runner averages, for its spread."""
+    weights, forms = levy_square_forms(cfg)
+    z = rng.standard_normal((n, 2 * 2**cfg.n_max))
+    out = {}
+    for dep, (c, a, Q) in forms.items():
+        delta = np.stack(
+            [cj + z @ aj + np.einsum("ni,ni->n", z @ Qj, z) for cj, aj, Qj in zip(c, a, Q)],
+            axis=1,
+        )
+        out[dep] = delta**2 @ weights
+    return out
 
 
 def lstsq_oracle(X_tr, y_tr):

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -19,7 +20,12 @@ from hypothesis import strategies as st
 
 import sigpath.experiments as experiments
 from helpers_hashes import mismatch_note, output_hashes
-from helpers_oracle import levy_rows_oracle, refined_holder_oracle
+from helpers_oracle import (
+    levy_mean_square_oracle,
+    levy_rows_oracle,
+    levy_square_draws,
+    refined_holder_oracle,
+)
 from sigpath.cli import main
 from sigpath.experiments import (
     EXPERIMENT_KINDS,
@@ -239,7 +245,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ({"kind": "sig"}, "unknown experiment kind 'sig'"),
         # coordinate 256 would share the Brownian keys of coordinate 0
         ({"kind": "moments", "d": 257, "depths": [2], "n_samples": 10},
-         "need 1 <= d <= 256 and T > 0"),
+         "need 1 <= d <= 256"),
+        # T / 2**24 would be subnormal or T * 2**24 infinite
+        *((small_functional_config(T=T), "T must lie in [2**-998, 2**1000)")
+          for T in (0, -1.0, 2.0**-999, 2.0**1000)),
         # 2**41 - 1 signature coordinates, rejected before any is enumerated
         (small_functional_config(levels=[40]), "levels exceed 4096 signature features"),
         # and without raising 2 to a huge power
@@ -368,7 +377,7 @@ def test_bad_out_exits_2_before_the_run(tmp_path, monkeypatch, case):
 CONFIG_FIELDS = {
     "seed": st.integers(0, 2**64 - 1),
     "d": st.one_of(st.integers(1, 2), st.sampled_from([257, 10**12])),
-    "T": st.sampled_from([0.5, 1.0, 2.5, 1e100, 10**30]),
+    "T": st.sampled_from([0.5, 1.0, 2.5, 1e100, 10**30, 5e-324, 1e300, 1e308]),
     "depths": st.lists(st.integers(0, 6), min_size=1, max_size=2),
     "levels": st.lists(
         st.one_of(st.integers(1, 3), st.just(40)), min_size=1, max_size=2
@@ -394,7 +403,8 @@ CONFIG_FIELDS = {
 # by every integer key but m, which only records it, and runs as a float key
 # (exit 0 or 3).  CONFIG_FIELDS draws the valid values of each key next to its
 # huge ones (d above 256, n_samples above 2**48, substeps past 2**24 RK4 steps
-# per path, m, T).
+# per path, m, T, whose subnormal and near-max draws fall outside
+# [2**-998, 2**1000)).
 BAD_VALUES = st.sampled_from(
     ["x", "8", -1, 0, 2.5, True, None, [], [-1], [2.5], {}, float("nan"), "mystery",
      10**30]
@@ -438,6 +448,63 @@ def test_huge_integer_T_runs_or_exits_3(tmp_path, kind):
     code = main(["run", "--config", cfg, "--out", str(out)])
     assert code in (0, 3)
     assert out.exists() == (code == 0)
+
+
+# T at and beyond both ends of [2**-998, 2**1000): inside it, every dyadic
+# grid up to depth 24 is a finite partition; outside it, a grid repeats a
+# time or overflows.
+_T_EDGES = {
+    "5e-324": 5e-324, "1e-310": 1e-310, "2**-999": 2.0**-999, "2**-998": 2.0**-998,
+    "1e300": 1e300, "max": math.nextafter(2.0**1000, 0), "2**1000": 2.0**1000,
+    "1e308": 1e308,
+}
+_OVERFLOW_AT_HUGE_T = {
+    "functional": "normal equations overflow at level 1: non-finite X'X or X'y",
+    "ode": "no path kept at depth 3: all 10 excluded",
+    "sde": "non-finite value in sde targets",
+    "levy": "non-finite distance at depth 3",
+    "moments": "non-finite moment sums at depth 3 with beta=0.01",
+}
+
+
+def extreme_T_config(kind, T):
+    payload = {"kind": kind, "depths": [3], "levels": [1], "n_samples": 10, "T": T}
+    if kind == "levy":
+        payload["n_max"] = 7
+    return payload
+
+
+@pytest.mark.parametrize("T", list(_T_EDGES.values()), ids=list(_T_EDGES))
+@pytest.mark.parametrize("kind", list(EXPERIMENT_KINDS))
+def test_extreme_T_exits_2_or_3_without_warning(tmp_path, capsys, kind, T):
+    # the suite turns warnings into errors, so a warning inside a run fails
+    cfg = write_config(tmp_path, "cfg.json", extreme_T_config(kind, T))
+    out = tmp_path / "o.csv"
+    code = main(["run", "--config", cfg, "--out", str(out)])
+    err = capsys.readouterr().err
+    if not 2.0**-998 <= T < 2.0**1000:
+        assert (code, err) == (2, "error: T must lie in [2**-998, 2**1000)\n")
+    elif T < 1:  # the smallest accepted T runs
+        assert code == 0 and out.exists()
+    else:
+        assert code == 3 and not out.exists()
+        assert err == f"numerical failure: {_OVERFLOW_AT_HUGE_T[kind]}\n"
+
+
+def test_overflow_under_python_W_error_exits_3_without_traceback(tmp_path):
+    cfg = write_config(tmp_path, "cfg.json", extreme_T_config("moments", 1e300))
+    out = tmp_path / "o.csv"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "sigpath.cli", "run", "--config", cfg,
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        f"numerical failure: {_OVERFLOW_AT_HUGE_T['moments']}\n"
+    )
+    assert not out.exists()
 
 
 def check_example_hashes(hashes, name):
@@ -672,6 +739,22 @@ def test_stochastic_is_a_leaf_and_no_function_imports_sigpath():
     assert lazy == []
 
 
+def test_errstate_is_set_only_by_run_config_sig_and_stochastic():
+    # a run's floating-point rule lives in run_config; `sig` does not pass
+    # through it, and stochastic's uint64 wrap-around and rejected polar
+    # pairs are part of correct operation
+    found = set()
+    for source in sorted((ROOT / "src" / "sigpath").glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                name = getattr(node, "attr", getattr(node, "id", None))
+                if name == "errstate":
+                    found.add((source.stem, getattr(top, "name", None)))
+    rest = {(module, fn) for module, fn in found if module != "stochastic"}
+    assert rest == {("experiments", "run_config"), ("cli", "_cmd_sig")}
+
+
 # Runs one config through `sigpath.cli.main` in a fresh interpreter whose
 # address space is capped at 3 GiB, so an oversized allocation fails at once
 # instead of being attempted.
@@ -771,6 +854,57 @@ def test_levy_time_coordinate_distance_is_zero():
     )
     rows, _ = run_levy(cfg)
     assert all(r["distance"] <= 1e-12 for r in rows)
+
+
+def oracle_levy_config(target, n_samples):
+    return ExperimentConfig.from_dict(
+        {"kind": "levy", "seed": 1, "target": target, "T": 1.0, "n_max": 7,
+         "depths": [1, 2, 3], "p": 2, "n_samples": n_samples}
+    )
+
+
+def test_levy_square_oracle_has_the_closed_forms():
+    exact = {t: levy_mean_square_oracle(oracle_levy_config(t, 10)) for t in LEVY_TARGETS}
+    # the polygon-area prototype's values
+    assert exact["levy-area"] == pytest.approx(
+        {1: 63 / 1024, 2: 36 / 1024, 3: 18 / 1024}, rel=1e-12
+    )
+    # at fraction r of a coarse segment of length h the first coordinate's
+    # error is a Brownian bridge, of variance h r (1 - r); eval spacing 1/16
+    r = np.arange(17) / 16
+    weights = np.r_[0.5, np.ones(15), 0.5] / 16
+    bridge = {
+        dep: float(weights @ (2.0**-dep * (r * 2**dep % 1) * (1 - r * 2**dep % 1)))
+        for dep in (1, 2, 3)
+    }
+    assert exact["first-coordinate"] == pytest.approx(bridge, rel=1e-12)
+    assert exact["time-coordinate"] == {1: 0.0, 2: 0.0, 3: 0.0}
+
+
+# Standard errors allowed between the runner's mean square distance and the
+# exact one; the spread of a path's squared distance is estimated from
+# _ORACLE_DRAWS independent draws of the oracle's quadratic forms (seed 2024).
+_ORACLE_SES = 4
+_ORACLE_DRAWS = 4000
+
+
+@pytest.mark.parametrize("target", list(LEVY_TARGETS))
+def test_levy_mean_square_distance_matches_the_exact_oracle(target):
+    # at p = 2 the squared distance is a mean over paths of a weighted sum of
+    # squared quadratic forms in the Gaussian increments, whose expectation
+    # is exact (Isserlis); time-coordinate has no error, so its bound is 0
+    cfg = oracle_levy_config(target, 20000)
+    exact = levy_mean_square_oracle(cfg)
+    draws = levy_square_draws(cfg, np.random.default_rng(2024), _ORACLE_DRAWS)
+    rows, _ = run_levy(cfg)
+    for row in rows:
+        dep, spread = row["depth"], draws[row["depth"]].std(ddof=1)
+        # the draws themselves check the exact expectation
+        assert abs(draws[dep].mean() - exact[dep]) <= _ORACLE_SES * spread / np.sqrt(
+            _ORACLE_DRAWS
+        )
+        bound = _ORACLE_SES * spread / np.sqrt(cfg.n_samples)
+        assert abs(row["distance"] ** 2 - exact[dep]) <= bound, (dep, row["distance"])
 
 
 def test_levy_single_depth_has_no_slope():
