@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from .experiments import ConfigError, ExperimentConfig, run_config
-from .paths import PathFormatError, read_path_csv
-from .signature import _tensor_from_row, stream_table
+from .paths import PathFormatError, read_path_csv, time_extend
+from .signature import signature
 from .tensor import MAX_WORDS, exceeds_max_words
 
 
@@ -30,10 +30,7 @@ def _cmd_sig(args) -> int:
         raise ConfigError(f"--level {level} exceeds {MAX_WORDS} signature coordinates")
     # the features' own row: the signature of the time-extended path
     with np.errstate(over="ignore", invalid="ignore"):
-        row = stream_table(path.times, path.values, level, [path.n_segments])[0]
-    if not np.isfinite(row).all():
-        raise FloatingPointError(f"signature overflows at level {level}")
-    sig = _tensor_from_row(row, path.dim + 1, level)
+        sig = signature(time_extend(path), level)
     payload = {
         "dim": sig.dim,
         "level": sig.level,

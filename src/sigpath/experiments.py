@@ -76,16 +76,9 @@ def _check_int(key, value):
 
 
 def _int_list(key, value) -> tuple:
-    """Entries may be integral floats, converted as they always were."""
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{key} must be a list of integers, got {value!r}")
-    out = []
-    for v in value:
-        if isinstance(v, float) and v.is_integer():
-            v = int(v)
-        _check_int(f"{key} entry", v)
-        out.append(v)
-    return tuple(out)
+    return tuple(_check_int(f"{key} entry", v) for v in value)
 
 
 def _lookup(table, name, what):
@@ -329,23 +322,6 @@ def _upsample_dyadic(values: np.ndarray, gap: int) -> np.ndarray:
     return np.concatenate([dense, values[:, -1:, :]], axis=1)
 
 
-def _levy_slice_terms(
-    cfg, functional, idx, depths, eval_depth, fine_times, eval_idx, eval_times,
-    weights, out,
-):
-    """Write the weighted |delta|^p quadrature terms of the paths `idx` into
-    `out` (depths, paths, eval points): delta is each depth's interpolation
-    against the depth-n_max reference, on the run's grids.  The slice's
-    lattice and temporaries die on return, before the next slice is sampled."""
-    fine = sample_brownian_batch(cfg.seed, idx, cfg.d, cfg.T, cfg.n_max)
-    ref_vals = functional.apply_stream(fine_times, fine, eval_idx=eval_idx)
-    for i, dep in enumerate(depths):
-        stride = 2 ** (cfg.n_max - dep)
-        coarse = _upsample_dyadic(fine[:, ::stride, :], eval_depth - dep)
-        delta = functional.apply_stream(eval_times, coarse) - ref_vals
-        out[i] = weights * np.abs(delta) ** cfg.p
-
-
 def run_levy(cfg: ExperimentConfig):
     """Lp distance, per depth, between the levy target along each depth's
     interpolation and along the depth-n_max reference, on one quadrature grid.
@@ -366,11 +342,26 @@ def run_levy(cfg: ExperimentConfig):
     # own breakpoints); coarse paths are refined onto it without change.
     eval_depth = depths[-1] + 1
     fine_times = dyadic_times(cfg.T, cfg.n_max)
-    eval_times = dyadic_times(cfg.T, eval_depth)
-    # the eval grid is every 2**(n_max - eval_depth)-th fine breakpoint
-    eval_idx = np.arange(eval_times.size) * 2 ** (cfg.n_max - eval_depth)
+    # the eval grid is every 2**(n_max - eval_depth)-th fine breakpoint, the
+    # same bits as dyadic_times(cfg.T, eval_depth)
+    eval_idx = np.arange(2**eval_depth + 1) * 2 ** (cfg.n_max - eval_depth)
+    eval_times = fine_times[eval_idx]
     weights = trapezoid_weights(eval_times)
     n_slice = max(1, _LEVY_SLICE_FLOATS // (cfg.d * 2**cfg.n_max))
+
+    def slice_terms(idx, out):
+        """Write the weighted |delta|^p quadrature terms of the paths `idx`
+        into `out` (depths, paths, eval points): delta is each depth's
+        interpolation against the depth-n_max reference.  The slice's lattice
+        and temporaries die on return, before the next slice is sampled."""
+        fine = sample_brownian_batch(cfg.seed, idx, cfg.d, cfg.T, cfg.n_max)
+        ref_vals = functional.apply_stream(fine_times, fine, eval_idx=eval_idx)
+        for i, dep in enumerate(depths):
+            stride = 2 ** (cfg.n_max - dep)
+            coarse = _upsample_dyadic(fine[:, ::stride, :], eval_depth - dep)
+            delta = functional.apply_stream(eval_times, coarse) - ref_vals
+            out[i] = weights * np.abs(delta) ** cfg.p
+
     sums = [0.0] * len(depths)
     t0 = time.perf_counter()
     for start in range(0, cfg.n_samples, _LEVY_CHUNK):
@@ -378,10 +369,7 @@ def run_levy(cfg: ExperimentConfig):
         terms = np.empty((len(depths), stop - start, eval_times.size))
         for lo in range(start, stop, n_slice):
             idx = np.arange(lo, min(lo + n_slice, stop))
-            _levy_slice_terms(
-                cfg, functional, idx, depths, eval_depth, fine_times, eval_idx,
-                eval_times, weights, terms[:, lo - start : lo - start + idx.size],
-            )
+            slice_terms(idx, terms[:, lo - start : lo - start + idx.size])
         sums = [acc + float(np.sum(t)) for acc, t in zip(sums, terms)]
     distances = [(total / cfg.n_samples) ** (1.0 / cfg.p) for total in sums]
     for dep, dist in zip(depths, distances):
@@ -484,20 +472,16 @@ def _format_cell(value) -> str:
 def write_rows(path, rows, append=False):
     """Write (or append) `rows`, dicts whose key order is the CSV header."""
     header = ",".join(rows[0])
-    body = [",".join(_format_cell(v) for v in row.values()) for row in rows]
-    if append and os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            existing = fh.readline().rstrip("\n")
-        if existing != header:
-            raise ConfigError(
-                f"refusing to append: schema of {path} does not match"
-            )
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write("".join(line + "\n" for line in body))
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            fh.write("".join(line + "\n" for line in body))
+    lines = [",".join(_format_cell(v) for v in row.values()) for row in rows]
+    append = append and os.path.exists(path)
+    with open(path, "a+" if append else "w", encoding="utf-8") as fh:
+        if append:
+            fh.seek(0)
+            if fh.readline().rstrip("\n") != header:
+                raise ConfigError(f"refusing to append: schema of {path} does not match")
+        else:
+            lines.insert(0, header)
+        fh.write("".join(line + "\n" for line in lines))
 
 
 def _reports_path(csv_path: str) -> str:

@@ -281,11 +281,14 @@ def read_path_csv(source) -> PiecewiseLinearPath:
     if len(times) < 2:
         raise PathFormatError("line 2: need at least two breakpoints")
     t_arr = np.asarray(times)
-    if not (np.diff(t_arr) > 0).all():
-        bad = int(np.flatnonzero(np.diff(t_arr) <= 0)[0])
-        raise PathFormatError(
-            f"line {rows[2 + bad][0]}: non-increasing time column"
-        )
+    # a subnormal step would lose the signature's relative precision; the
+    # dyadic grids of runs keep every step a normal float too
+    steps = np.diff(t_arr)
+    if not (steps >= 2.0**-1022).all():
+        bad = int(np.argmin(steps >= 2.0**-1022))  # the first short step
+        reason = ("non-increasing time column" if steps[bad] <= 0
+                  else "time step below 2**-1022")
+        raise PathFormatError(f"line {rows[2 + bad][0]}: {reason}")
     if t_arr[0] != 0.0:
         raise PathFormatError(f"line {rows[1][0]}: partition must start at 0")
     return PiecewiseLinearPath(t_arr, np.asarray(values))

@@ -54,7 +54,10 @@ def _own_words(dim: int, level: int) -> tuple:
 
 
 def _tensor_from_row(row: np.ndarray, dim: int, level: int) -> TruncatedTensor:
-    """The tensor whose level-major flattened coefficients are `row`."""
+    """The tensor whose level-major flattened coefficients are `row`; a
+    non-finite row is an overflow of the signature."""
+    if not np.isfinite(row).all():
+        raise FloatingPointError(f"signature overflows at level {level}")
     splits = np.cumsum([dim**n for n in range(level)])
     return TruncatedTensor(dim, level, np.split(row, splits))
 

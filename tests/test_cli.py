@@ -102,6 +102,22 @@ def test_sig_command_overflow_exits_3(tmp_path, capsys):
     assert "signature overflows at level 3" in captured.err
 
 
+def test_sig_command_rejects_subnormal_time_steps(tmp_path, capsys):
+    # steps below 2**-1022 lost the signature's relative precision: this path
+    # printed S^(0,1) = 5e-324 and S^(1,0) = 0
+    csv = tmp_path / "tiny.csv"
+    csv.write_text("t,x1\n0,0\n5e-324,0\n1e-323,1\n")
+    assert main(["sig", "--input", str(csv), "--level", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: line 3: time step below 2**-1022" in captured.err
+    # normal steps still print, and S^(0,1) + S^(1,0) = S^(0) S^(1) holds
+    csv.write_text("t,x1\n0,0\n2.3e-308,0\n4.6e-308,1\n")
+    assert main(["sig", "--input", str(csv), "--level", "3"]) == 0
+    coeffs = json.loads(capsys.readouterr().out)["coeffs"]
+    assert coeffs[2][1] + coeffs[2][2] == coeffs[1][0] * coeffs[1][1] == 4.6e-308
+
+
 def test_sig_command_rejects_bad_csv(tmp_path, capsys):
     single = tmp_path / "single.csv"
     single.write_text("t,x1\n0,0\n")
@@ -275,6 +291,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
         (small_functional_config(levels=[0, 1]), "levels must all be >= 1"),
         ({"kind": "ode", "d": 2, **scalar}, "ode experiment drives a scalar field (d = 1)"),
         ({"kind": "sde", "d": 2, **scalar}, "sde experiment is scalar (d = 1)"),
+        # list entries follow the rule of integer fields: no integral floats
+        (small_functional_config(depths=[8.0]), "depths entry must be an integer, got 8.0"),
+        (small_functional_config(p=10**400), "p must be finite"),
     ]
     for i, (payload, message) in enumerate(bad):
         cfg = write_config(tmp_path, f"bad{i}.json", payload)
@@ -737,6 +756,19 @@ def test_stochastic_is_a_leaf_and_no_function_imports_sigpath():
                 lazy += [(source.name, fn.name) for _ in sigpath_imports(fn)]
     assert leaf == []
     assert lazy == []
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # a `_`-prefixed name is its module's own; callers use the public API
+    private = []
+    for source in sorted((ROOT / "src" / "sigpath").glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "sigpath"
+            ):
+                names = [a.name for a in node.names if a.name.startswith("_")]
+                private += [(source.name, name) for name in names]
+    assert private == []
 
 
 def test_errstate_is_set_only_by_run_config_sig_and_stochastic():

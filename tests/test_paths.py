@@ -44,6 +44,13 @@ def test_partition_validation():
         pth.PiecewiseLinearPath([0, 1, 1], [[0.0], [1.0], [2.0]])
     with pytest.raises(ValueError):
         pth.PiecewiseLinearPath([0], [[0.0]])
+    with pytest.raises(ValueError, match="non-finite partition time"):
+        pth.PiecewiseLinearPath([0, np.nan], [[0.0], [1.0]])
+    for values in ([[0.0], [1.0], [2.0]], np.zeros((2, 1, 1))):
+        with pytest.raises(ValueError, match=r"values must be \(n_breakpoints, dim\)"):
+            pth.PiecewiseLinearPath([0, 1], values)
+    with pytest.raises(ValueError, match="non-finite path value"):
+        pth.PiecewiseLinearPath([0, 1], [[0.0], [np.inf]])
 
 
 def test_time_extend_examples():
@@ -281,6 +288,11 @@ def test_weight_examples():
     w_large = pth.weight(path, 0.4, beta=0.05)
     assert w_large > w_small > 1.0 or w_small == w_large == 1.0
 
+    with pytest.raises(ValueError, match="beta must be > 0"):
+        pth.weight(line, 0.5, beta=0.0)
+    with pytest.raises(ValueError, match="gamma must be >= 1"):
+        pth.weight(line, 0.5, beta=1.0, gamma=0.5)
+
 
 def test_weight_at_least_one_for_time_extended():
     rng = np.random.default_rng(3)
@@ -317,7 +329,9 @@ def test_csv_round_trip_and_precision():
     assert np.array_equal(back.values, path.values)
 
 
-def test_csv_errors_carry_line_numbers():
+def test_csv_errors_carry_line_numbers(tmp_path):
+    with pytest.raises(pth.PathFormatError, match="line 1: empty file"):
+        pth.read_path_csv(io.StringIO(""))
     with pytest.raises(pth.PathFormatError, match="header"):
         pth.read_path_csv(io.StringIO("a,b\n0,0\n1,1\n"))
     with pytest.raises(pth.PathFormatError, match="line 3"):
@@ -334,3 +348,14 @@ def test_csv_errors_carry_line_numbers():
         pth.read_path_csv(io.StringIO("t,x1\n0,0\n1,1\ninf,3"))
     with pytest.raises(pth.PathFormatError, match="line 2"):
         pth.read_path_csv(io.StringIO("t,x1\n1,0\n2,1\n"))
+    # a subnormal time step, reported after any non-increasing one before it
+    with pytest.raises(pth.PathFormatError, match=r"line 3: time step below 2\*\*-1022"):
+        pth.read_path_csv(io.StringIO("t,x1\n0,0\n5e-324,0\n1e-323,1\n"))
+    with pytest.raises(pth.PathFormatError, match="line 3: non-increasing time column"):
+        pth.read_path_csv(io.StringIO("t,x1\n0,0\n0,0\n5e-324,1\n"))
+    # a file name, not a stream, is opened
+    path = random_pl_path(np.random.default_rng(29), 4, 1)
+    pth.write_path_csv(path, tmp_path / "path.csv")
+    back = pth.read_path_csv(tmp_path / "path.csv")
+    assert np.array_equal(back.times, path.times)
+    assert np.array_equal(back.values, path.values)

@@ -150,6 +150,14 @@ def test_fit_rejects_bad_inputs():
     for level in (-1, feats.level + 1):
         with pytest.raises(ValueError):
             rg.fit(feats, np.zeros(feats.matrix.shape[0]), level=level)
+    # dim 2, level 1 has 3 columns
+    for table in (np.ones((2, 1, 2)), np.ones((2, 3))):
+        with pytest.raises(ValueError, match="feature table must have shape"):
+            rg.FeatureMatrix(table, 2, 1)
+    with pytest.raises(ValueError, match="empty-word column must be identically 1"):
+        rg.FeatureMatrix(np.full((2, 1, 3), 2.0), 2, 1)
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        rg.features_from_values(dyadic_times(1.0, 2), np.zeros((2, 5, 1)), 1, "bogus")
 
 
 def test_lp_error_examples():
@@ -164,6 +172,8 @@ def test_lp_error_examples():
 
     with pytest.raises(ValueError):
         rg.lp_error(zero, feats, [1.0, 2.0], 0.5)
+    with pytest.raises(ValueError, match="functional level exceeds feature level"):
+        rg.lp_error(LinearFunctional(2, 1, {}), feats, [1.0, 2.0], 2.0)
 
 
 def test_lp_error_exact_functional_is_zero():

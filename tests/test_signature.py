@@ -134,6 +134,15 @@ def test_signature_is_last_stream_table_row():
         signature(path, -1)
 
 
+def test_signature_overflow_is_a_floating_point_error():
+    # a numerical failure, as in runs, not a malformed tensor
+    huge = PiecewiseLinearPath([0, 1], [[0.0], [1e200]])
+    for compute in (signature, signature_stream):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="signature overflows at level 3"):
+                compute(huge, 3)
+
+
 def test_stream_of_line_midpoint():
     line = PiecewiseLinearPath([0, 0.5, 1], [[0.0], [1.0], [2.0]])
     stream = signature_stream(line, 3)
@@ -225,6 +234,8 @@ def test_apply_rejects_mismatches():
         LinearFunctional(2, 1, {(1,): 1.0}).apply(g)
     with pytest.raises(ValueError):
         LinearFunctional(1, 3, {(0, 0, 0): 1.0}).apply(g)
+    with pytest.raises(ValueError, match=r"word \(0, 0\) longer than level 1"):
+        LinearFunctional(1, 1, {(0, 0): 1.0})
 
 
 def test_functional_dict_round_trip():
@@ -395,3 +406,6 @@ def test_kernels_reject_times_of_the_wrong_shape():
             word_streams(times, values, [(0,), (1, 2)])
         with pytest.raises(ValueError, match="times"):
             area.apply_stream(times, values)
+    # eval_idx is checked as well
+    with pytest.raises(ValueError, match="eval_idx must be increasing breakpoint indices"):
+        stream_table(np.arange(3.0), values, 2, eval_idx=[2, 1])

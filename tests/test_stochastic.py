@@ -90,6 +90,9 @@ def test_rejects_bad_depth():
     # d = 257 would give coordinate 256 the keys of coordinate 0
     with pytest.raises(ValueError):
         sto.sample_brownian_batch(0, [0], 257, 1.0, 2)
+    for seed, idx in ((-1, [0]), (0, [0, -1])):
+        with pytest.raises(ValueError, match="seed and sample indices must be"):
+            sto.sample_brownian_batch(seed, idx, 1, 1.0, 2)
 
 
 def test_identity_field_reproduces_driver():
@@ -130,6 +133,8 @@ def test_ode_blowup_is_reported():
         y, blown = sto.solve_ode_batch(times, drivers, field, 1.0, substeps=1)
     assert blown.tolist() == [True, False]
     assert np.isfinite(y).all()
+    with pytest.raises(ValueError, match="substeps must be >= 1"):
+        sto.solve_ode_batch(times, drivers, field, 1.0, substeps=0)
 
 
 def test_gbm_examples():

@@ -126,6 +126,16 @@ def test_shape_validation_and_mismatches():
         tn.zeros(2, 2) + tn.zeros(2, 3)
     with pytest.raises(ValueError):
         tn.mul(tn.zeros(2, 2), tn.zeros(3, 2))
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        tn.TruncatedTensor(0, 0, [1.0])
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        tn.TruncatedTensor(1, -1, [])
+    with pytest.raises(ValueError, match="expected 2 blocks, got 1"):
+        tn.TruncatedTensor(1, 1, [1.0])
+    with pytest.raises(ValueError, match="word length 2 exceeds level 1"):
+        tn.unit(2, 1).coefficient((0, 1))
+    with pytest.raises(ValueError, match="word length 2 exceeds level 1"):
+        tn.basis_element((0, 1), 2, 1)
 
 
 @settings(deadline=None)
