@@ -50,7 +50,7 @@ def check_partition(times: np.ndarray):
         raise ValueError("non-finite partition time")
     if times[0] != 0.0:
         raise ValueError("partition must start at 0")
-    if not (np.diff(times) > 0).all():
+    if not (times[1:] > times[:-1]).all():  # a difference could overflow
         raise ValueError("partition times must be strictly increasing")
     return times
 
@@ -281,16 +281,20 @@ def read_path_csv(source) -> PiecewiseLinearPath:
     if len(times) < 2:
         raise PathFormatError("line 2: need at least two breakpoints")
     t_arr = np.asarray(times)
-    # a subnormal step would lose the signature's relative precision; the
-    # dyadic grids of runs keep every step a normal float too
-    steps = np.diff(t_arr)
-    if not (steps >= 2.0**-1022).all():
-        bad = int(np.argmin(steps >= 2.0**-1022))  # the first short step
-        reason = ("non-increasing time column" if steps[bad] <= 0
-                  else "time step below 2**-1022")
-        raise PathFormatError(f"line {rows[2 + bad][0]}: {reason}")
+    # times are compared before any step is taken, which could overflow;
+    # argmin finds the first failing step
+    rising = t_arr[1:] > t_arr[:-1]
+    if not rising.all():
+        line_no = rows[2 + int(np.argmin(rising))][0]
+        raise PathFormatError(f"line {line_no}: non-increasing time column")
     if t_arr[0] != 0.0:
         raise PathFormatError(f"line {rows[1][0]}: partition must start at 0")
+    # a subnormal step would lose the signature's relative precision; the
+    # dyadic grids of runs keep every step a normal float too
+    normal = np.diff(t_arr) >= 2.0**-1022
+    if not normal.all():
+        line_no = rows[2 + int(np.argmin(normal))][0]
+        raise PathFormatError(f"line {line_no}: time step below 2**-1022")
     return PiecewiseLinearPath(t_arr, np.asarray(values))
 
 

@@ -114,6 +114,11 @@ def word_streams(times: np.ndarray, values: np.ndarray, words, eval_idx=None) ->
     summed in the order of the Chen product (tensor.mul_blocks), so every
     coordinate has the bits of the dense per-breakpoint Chen loop on the
     time-extended values.
+
+    Paths go in blocks and segments in chunks (_WORD_BLOCK, _SEGMENT_CHUNK).
+    Each stream starts a chunk from its last value in the chunk before, and
+    its prefix sum is sequential, so the bits depend on neither the blocking
+    nor the chunking.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -123,13 +128,24 @@ def word_streams(times: np.ndarray, values: np.ndarray, words, eval_idx=None) ->
     batch = values.shape[:-2]
     eval_idx = _check_eval_idx(eval_idx, n_pts)
     words = tuple(map(tuple, words))
-    plan = _word_plan(words, d + 1)
+    steps, columns, live = _word_plan(words, d + 1)
+    chunk = min(_SEGMENT_CHUNK, max(1, _STREAM_FLOATS // (_WORD_BLOCK * live)))
     flat = values.reshape((-1, n_pts, d))
     # zeros: a kept first breakpoint is the unit tensor, 0 off the empty word
     out = np.zeros((flat.shape[0], eval_idx.size, len(words)))
+    out[..., columns.get((), [])] = 1.0
+    n_seg = n_pts - 1
     for start in range(0, flat.shape[0], _WORD_BLOCK):
-        stop = start + _WORD_BLOCK
-        _block_word_streams(times, flat[start:stop], plan, eval_idx, out[start:stop])
+        block = slice(start, start + _WORD_BLOCK)
+        carry = {}
+        for s0 in range(0, n_seg, chunk):
+            s1 = min(s0 + chunk, n_seg)
+            # kept breakpoints s0 < k <= s1 sit at column k - s0 of a chunk stream
+            rows = slice(*np.searchsorted(eval_idx, [s0 + 1, s1 + 1]))
+            _chunk_word_streams(
+                times[s0 : s1 + 1], flat[block, s0 : s1 + 1], steps, columns,
+                eval_idx[rows] - s0, out[block, rows], carry, last=s1 == n_seg,
+            )
     return out.reshape(batch + out.shape[1:])
 
 
@@ -169,33 +185,12 @@ def _word_plan(words, m):
     return steps, columns, live
 
 
-def _block_word_streams(times, values, plan, eval_idx, out):
-    """word_streams of one (b, K, d) block of paths, written into `out`, in
-    chunks of at most _SEGMENT_CHUNK segments, fewer when the plan's live
-    intermediates would exceed _STREAM_FLOATS: each stream starts a chunk
-    from its last value in the chunk before, and its prefix sum is
-    sequential, so the bits do not depend on the chunking."""
-    steps, columns, live = plan
-    chunk = min(_SEGMENT_CHUNK, max(1, _STREAM_FLOATS // (_WORD_BLOCK * live)))
-    n_seg = values.shape[1] - 1
-    out[..., columns.get((), [])] = 1.0
-    carry = {}
-    for s0 in range(0, n_seg, chunk):
-        s1 = min(s0 + chunk, n_seg)
-        # kept breakpoints s0 < k <= s1 sit at column k - s0 of a chunk stream
-        rows = slice(*np.searchsorted(eval_idx, [s0 + 1, s1 + 1]))
-        _chunk_word_streams(
-            times[s0 : s1 + 1], values[:, s0 : s1 + 1], steps, columns,
-            eval_idx[rows] - s0, out[:, rows], carry, last=s1 == n_seg,
-        )
-
-
 def _chunk_word_streams(times, values, steps, columns, local, out, carry, last):
-    """One chunk of _block_word_streams: streams every planned word over the
-    segments between `times`, from the values in `carry` (updated unless
-    this is the `last` chunk), writing the breakpoints `local` of each
-    requested word into its columns of `out`.  Its arrays die on return,
-    so they never overlap the next chunk's."""
+    """One chunk of one block of word_streams: streams every planned word
+    over the segments between `times`, from the values in `carry` (updated
+    unless this is the `last` chunk), writing the breakpoints `local` of each
+    requested word into its columns of `out`.  Its arrays die on return, so
+    they never overlap the next chunk's."""
     n_paths, n_pts = values.shape[0], values.shape[1]
     # letter 0 steps by the time gaps, one row broadcast over the block
     dx = [np.diff(times)]

@@ -7,7 +7,9 @@ SplitMix64.  The variate is produced by the Marsaglia polar method from pairs
 of 64-bit uniforms drawn from the key's private counter stream, so samples
 are bit-reproducible regardless of batching or evaluation order, and the
 restriction of a depth-n lattice to a coarser dyadic grid is bit-identical
-to the lattice generated directly at that depth.
+to the lattice generated directly at that depth.  Every uint64 product and
+sum of the hashing is an array operation, which wraps modulo 2**64 without
+numpy's overflow check on scalars.
 """
 
 from __future__ import annotations
@@ -42,23 +44,19 @@ _SAMPLE_BLOCK = 2**16
 
 def _mix(z):
     """SplitMix64 output function (Steele, Lea, Flood 2014); mixes a uint64
-    array the caller owns in place and returns it (a numpy scalar, being
-    immutable, comes back as a new value).  uint64 arithmetic wraps by
-    design."""
-    with np.errstate(over="ignore"):
-        z ^= z >> np.uint64(30)
-        z *= _MIX1
-        z ^= z >> np.uint64(27)
-        z *= _MIX2
-        z ^= z >> np.uint64(31)
+    array the caller owns in place and returns it."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
     return z
 
 
 def _sample_keys(seed, sample):
     """Base key of each sample index: the seed and the index, mixed twice."""
-    with np.errstate(over="ignore"):
-        base = _mix(np.uint64(seed) + _GAMMA)
-        return _mix(base ^ (np.asarray(sample, dtype=np.uint64) * _ABSORB))
+    base = _mix(np.array([seed], dtype=np.uint64) + _GAMMA)
+    return _mix(base ^ (np.asarray(sample, dtype=np.uint64) * _ABSORB))
 
 
 def _event_words(level, position, coordinate):
@@ -69,15 +67,13 @@ def _event_words(level, position, coordinate):
         | (np.asarray(position, dtype=np.uint64) << np.uint64(8))
         | np.asarray(coordinate, dtype=np.uint64)
     )
-    with np.errstate(over="ignore"):
-        return packed * _ABSORB
+    return np.atleast_1d(packed) * _ABSORB
 
 
 def _uniform(keys: np.ndarray, draw: int) -> np.ndarray:
     """draw-th U[0,1) variate of each key's counter stream."""
-    with np.errstate(over="ignore"):
-        bits = _mix(keys + np.uint64(draw + 1) * _GAMMA)
-    return (bits >> np.uint64(11)) * 2.0**-53
+    offset = np.uint64((draw + 1) * int(_GAMMA) % 2**64)
+    return (_mix(keys + offset) >> np.uint64(11)) * 2.0**-53
 
 
 def _split_permutation(split_seed: int, n: int) -> np.ndarray:

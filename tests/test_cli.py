@@ -118,6 +118,20 @@ def test_sig_command_rejects_subnormal_time_steps(tmp_path, capsys):
     assert coeffs[2][1] + coeffs[2][2] == coeffs[1][0] * coeffs[1][1] == 4.6e-308
 
 
+def test_sig_command_under_python_W_error_exits_2_on_an_overflowing_step(tmp_path):
+    # the step from 1e308 to -1e308 overflows if taken: it warned, and under
+    # -W error exited 1 with a traceback
+    csv = tmp_path / "jump.csv"
+    csv.write_text("t,x1\n0,0\n1e308,0\n-1e308,1\n")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "sigpath.cli", "sig", "--input", str(csv)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: line 4: non-increasing time column\n"
+
+
 def test_sig_command_rejects_bad_csv(tmp_path, capsys):
     single = tmp_path / "single.csv"
     single.write_text("t,x1\n0,0\n")
@@ -773,8 +787,9 @@ def test_no_module_imports_a_private_name_from_another():
 
 def test_errstate_is_set_only_by_run_config_sig_and_stochastic():
     # a run's floating-point rule lives in run_config; `sig` does not pass
-    # through it, and stochastic's uint64 wrap-around and rejected polar
-    # pairs are part of correct operation
+    # through it, and the polar method's rejected pairs take log(0) and the
+    # root of a negative number by design.  The uint64 hashing wraps as
+    # array arithmetic, which numpy never checks, so it needs no errstate.
     found = set()
     for source in sorted((ROOT / "src" / "sigpath").glob("*.py")):
         tree = ast.parse(source.read_text(encoding="utf-8"))
@@ -783,8 +798,9 @@ def test_errstate_is_set_only_by_run_config_sig_and_stochastic():
                 name = getattr(node, "attr", getattr(node, "id", None))
                 if name == "errstate":
                     found.add((source.stem, getattr(top, "name", None)))
-    rest = {(module, fn) for module, fn in found if module != "stochastic"}
-    assert rest == {("experiments", "run_config"), ("cli", "_cmd_sig")}
+    assert found == {
+        ("experiments", "run_config"), ("cli", "_cmd_sig"), ("stochastic", "_polar"),
+    }
 
 
 # Runs one config through `sigpath.cli.main` in a fresh interpreter whose

@@ -46,6 +46,9 @@ def test_partition_validation():
         pth.PiecewiseLinearPath([0], [[0.0]])
     with pytest.raises(ValueError, match="non-finite partition time"):
         pth.PiecewiseLinearPath([0, np.nan], [[0.0], [1.0]])
+    # the step from 1e308 to -1e308 overflows; the check compares instead
+    with pytest.raises(ValueError, match="strictly increasing"):
+        pth.PiecewiseLinearPath([0, 1e308, -1e308], [[0.0], [0.0], [1.0]])
     for values in ([[0.0], [1.0], [2.0]], np.zeros((2, 1, 1))):
         with pytest.raises(ValueError, match=r"values must be \(n_breakpoints, dim\)"):
             pth.PiecewiseLinearPath([0, 1], values)
@@ -348,11 +351,16 @@ def test_csv_errors_carry_line_numbers(tmp_path):
         pth.read_path_csv(io.StringIO("t,x1\n0,0\n1,1\ninf,3"))
     with pytest.raises(pth.PathFormatError, match="line 2"):
         pth.read_path_csv(io.StringIO("t,x1\n1,0\n2,1\n"))
-    # a subnormal time step, reported after any non-increasing one before it
+    # a subnormal time step, reported after every non-increasing one
     with pytest.raises(pth.PathFormatError, match=r"line 3: time step below 2\*\*-1022"):
         pth.read_path_csv(io.StringIO("t,x1\n0,0\n5e-324,0\n1e-323,1\n"))
     with pytest.raises(pth.PathFormatError, match="line 3: non-increasing time column"):
         pth.read_path_csv(io.StringIO("t,x1\n0,0\n0,0\n5e-324,1\n"))
+    with pytest.raises(pth.PathFormatError, match="line 4: non-increasing time column"):
+        pth.read_path_csv(io.StringIO("t,x1\n0,0\n5e-324,0\n0,1\n"))
+    # times are compared, not subtracted: this step would overflow
+    with pytest.raises(pth.PathFormatError, match="line 4: non-increasing time column"):
+        pth.read_path_csv(io.StringIO("t,x1\n0,0\n1e308,0\n-1e308,1\n"))
     # a file name, not a stream, is opened
     path = random_pl_path(np.random.default_rng(29), 4, 1)
     pth.write_path_csv(path, tmp_path / "path.csv")

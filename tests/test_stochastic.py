@@ -84,6 +84,17 @@ def test_disjoint_increments_nearly_uncorrelated():
     assert abs(np.corrcoef(first, second)[0, 1]) <= 4.0 / np.sqrt(n)
 
 
+def test_uint64_wrap_around_needs_no_errstate():
+    # the key hashing wraps modulo 2**64 at the largest seed and sample index;
+    # as array arithmetic it raises nothing even when every check is "raise"
+    # (a numpy scalar product in the hashing would raise here)
+    args = (2**64 - 1, [0, 2**48 - 1], 2, 1.0, 6)
+    want = sto.sample_brownian_batch(*args), sto.train_mask(2**64 - 1, 100)
+    with np.errstate(all="raise"):
+        got = sto.sample_brownian_batch(*args), sto.train_mask(2**64 - 1, 100)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_rejects_bad_depth():
     with pytest.raises(ValueError):
         sto.sample_brownian_batch(0, [0], 1, 1.0, 25)
