@@ -2,17 +2,18 @@
 approximation of path functionals, random ODEs, and SDE targets."""
 
 from .tensor import (
-    TruncatedTensor,
+    apply_shuffle_check,
     basis_element,
     exp,
+    level_blocks,
     log,
     mul,
     norm,
+    row_level,
     total_entries,
     unit,
-    zeros,
 )
-from .words import all_words, apply_shuffle_check, shuffle, word_to_offset
+from .words import all_words, shuffle, word_index
 from .paths import (
     PathFormatError,
     PiecewiseLinearPath,

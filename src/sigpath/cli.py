@@ -16,7 +16,7 @@ import numpy as np
 from .experiments import ConfigError, ExperimentConfig, run_config
 from .paths import PathFormatError, read_path_csv, time_extend
 from .signature import signature
-from .tensor import MAX_WORDS, exceeds_max_words
+from .tensor import MAX_WORDS, exceeds_max_words, level_blocks
 
 
 def _cmd_sig(args) -> int:
@@ -30,11 +30,12 @@ def _cmd_sig(args) -> int:
         raise ConfigError(f"--level {level} exceeds {MAX_WORDS} signature coordinates")
     # the features' own row: the signature of the time-extended path
     with np.errstate(over="ignore", invalid="ignore"):
-        sig = signature(time_extend(path), level)
+        row = signature(time_extend(path), level)
+    dim = path.dim + 1
     payload = {
-        "dim": sig.dim,
-        "level": sig.level,
-        "coeffs": [blk.tolist() for blk in sig.coeffs],
+        "dim": dim,
+        "level": level,
+        "coeffs": [blk.tolist() for blk in level_blocks(row, dim)],
     }
     json.dump(payload, sys.stdout)
     sys.stdout.write("\n")

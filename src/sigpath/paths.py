@@ -113,11 +113,6 @@ class PiecewiseLinearPath:
             return out.reshape(self.dim)
         return out
 
-    def reversed(self) -> "PiecewiseLinearPath":
-        return PiecewiseLinearPath(
-            self.T - self.times[::-1], self.values[::-1].copy()
-        )
-
 
 def time_extend_values(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Prepend the running time as coordinate 0 of breakpoint values

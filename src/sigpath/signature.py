@@ -13,8 +13,8 @@ from functools import lru_cache
 import numpy as np
 
 from .paths import PiecewiseLinearPath
-from .tensor import TruncatedTensor, mul, norm, total_entries, unit
-from .words import all_words, check_word, word_to_offset
+from .tensor import mul, norm, row_level, total_entries, unit
+from .words import all_words, check_word, word_index
 
 __all__ = [
     "LinearFunctional",
@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-def segment_signature(increment, level: int) -> TruncatedTensor:
+def segment_signature(increment, level: int) -> np.ndarray:
     """Signature of a single line segment with the given increment: that of
     the one-segment path from 0 to `increment` on [0, 1]."""
     increment = np.atleast_1d(np.asarray(increment, dtype=float))
@@ -36,12 +36,13 @@ def segment_signature(increment, level: int) -> TruncatedTensor:
     return signature(segment, level)
 
 
-def signature(path: PiecewiseLinearPath, level: int) -> TruncatedTensor:
+def signature(path: PiecewiseLinearPath, level: int) -> np.ndarray:
     """Signature of the whole path on [0, T], truncated at `level`: the
-    last row of its stream table."""
+    last row of its stream table, (D,) with D = total_entries(path.dim,
+    level)."""
     words = _own_words(path.dim, level)
     row = word_streams(path.times, path.values, words, [path.n_segments])[0]
-    return _tensor_from_row(row, path.dim, level)
+    return _finite(row, level)
 
 
 @lru_cache(maxsize=16)
@@ -53,13 +54,11 @@ def _own_words(dim: int, level: int) -> tuple:
     return tuple(tuple(l + 1 for l in w) for w in all_words(dim, level))
 
 
-def _tensor_from_row(row: np.ndarray, dim: int, level: int) -> TruncatedTensor:
-    """The tensor whose level-major flattened coefficients are `row`; a
-    non-finite row is an overflow of the signature."""
-    if not np.isfinite(row).all():
+def _finite(rows: np.ndarray, level: int) -> np.ndarray:
+    """`rows` of signature coordinates; a non-finite one is an overflow."""
+    if not np.isfinite(rows).all():
         raise FloatingPointError(f"signature overflows at level {level}")
-    splits = np.cumsum([dim**n for n in range(level)])
-    return TruncatedTensor(dim, level, np.split(row, splits))
+    return rows
 
 
 def _check_eval_idx(eval_idx, n_pts: int) -> np.ndarray:
@@ -111,7 +110,7 @@ def word_streams(times: np.ndarray, values: np.ndarray, words, eval_idx=None) ->
     S^w_{k+1} = S^w_k + T_k with
     T_k = ((E^w + S^{w[:1]} E^{w[1:]}) + S^{w[:2]} E^{w[2:]}) + ...
     and E^u = ((x_{u1}/1) x_{u2}/2) ... the segment-exponential coordinates,
-    summed in the order of the Chen product (tensor.mul_blocks), so every
+    summed in the order of the Chen product (tensor.mul), so every
     coordinate has the bits of the dense per-breakpoint Chen loop on the
     time-extended values.
 
@@ -222,17 +221,17 @@ def _chunk_word_streams(times, values, steps, columns, local, out, carry, last):
             cache[word, kind] = arr
 
 
-def signature_stream(path: PiecewiseLinearPath, level: int) -> list:
-    """Signatures on [0, t_k] for every breakpoint t_k of the path: one
-    tensor per breakpoint, rows of its word_streams table."""
+def signature_stream(path: PiecewiseLinearPath, level: int) -> np.ndarray:
+    """Signatures on [0, t_k] for every breakpoint t_k of the path: the
+    (K, D) word_streams table, one row per breakpoint."""
     table = word_streams(path.times, path.values, _own_words(path.dim, level))
-    return [_tensor_from_row(row, path.dim, level) for row in table]
+    return _finite(table, level)
 
 
 @dataclass(frozen=True)
 class LinearFunctional:
-    """Sparse word -> coefficient map; acts on group-like tensors by the
-    dot product against the addressed signature coordinates."""
+    """Sparse word -> coefficient map; acts on signature rows by the dot
+    product against the addressed coordinates."""
 
     dim: int
     level: int
@@ -250,21 +249,18 @@ class LinearFunctional:
             clean[word] = float(value)
         object.__setattr__(self, "coeffs", clean)
 
-    def apply(self, g: TruncatedTensor) -> float:
-        if g.dim != self.dim:
-            raise ValueError(f"dim mismatch: {g.dim} vs {self.dim}")
-        if g.level < self.level:
-            raise ValueError(
-                f"tensor level {g.level} below functional level {self.level}"
-            )
-        return sum(c * g.coefficient(w) for w, c in self.coeffs.items())
+    def apply(self, g) -> float:
+        """<self, g> for a row g over R^dim of level at least self.level."""
+        level = row_level(g, self.dim)
+        if level < self.level:
+            raise ValueError(f"tensor level {level} below functional level {self.level}")
+        return sum(c * g[word_index(w, self.dim)] for w, c in self.coeffs.items())
 
     def coefficient_vector(self) -> np.ndarray:
         """Dense coefficients over all words of length <= level, level-major."""
         vec = np.zeros(total_entries(self.dim, self.level))
         for word, value in self.coeffs.items():
-            n, off = word_to_offset(word, self.dim)
-            vec[total_entries(self.dim, n - 1) + off] = value
+            vec[word_index(word, self.dim)] = value
         return vec
 
     def apply_stream(self, times: np.ndarray, values: np.ndarray, eval_idx=None) -> np.ndarray:
@@ -313,7 +309,9 @@ def levy_area_functional(dim: int = 3, first: int = 1, second: int = 2) -> Linea
 
 
 def reverse_check(path: PiecewiseLinearPath, level: int) -> float:
-    """Norm of sig(path) (x) sig(reversed path) minus the unit tensor."""
-    fwd = signature(path, level)
-    bwd = signature(path.reversed(), level)
-    return norm(mul(fwd, bwd) - unit(path.dim, level))
+    """Norm of sig(path) (x) sig(reversed path) minus the unit tensor.  The
+    path's signature never reads its times, so the reversal retraces the
+    values on the same partition."""
+    back = PiecewiseLinearPath(path.times, path.values[::-1])
+    product = mul(signature(path, level), signature(back, level), path.dim)
+    return norm(product - unit(path.dim, level), path.dim)

@@ -10,10 +10,9 @@ from functools import lru_cache
 
 __all__ = [
     "check_word",
-    "word_to_offset",
+    "word_index",
     "all_words",
     "shuffle",
-    "apply_shuffle_check",
 ]
 
 def check_word(word, dim: int):
@@ -22,18 +21,20 @@ def check_word(word, dim: int):
             raise ValueError(f"letter {letter} invalid for dim {dim}")
 
 
-def word_to_offset(word, dim: int):
-    """(level, offset) of a word; the offset is its base-dim integer value."""
+def word_index(word, dim: int) -> int:
+    """Position of a word in a level-major row over R^dim: the word read as a
+    bijective base-dim numeral (digits letter + 1), which is the count of
+    shorter words plus its lexicographic rank among words of its length."""
     check_word(word, dim)
-    offset = 0
+    index = 0
     for letter in word:
-        offset = offset * dim + letter
-    return len(word), offset
+        index = index * dim + letter + 1
+    return index
 
 
 def all_words(dim: int, max_len: int):
     """All words of length <= max_len, level-major and lexicographic within
-    each level; matches the block layout of TruncatedTensor."""
+    each level: the word of row position k is all_words(...)[k]."""
     out = []
     for n in range(max_len + 1):
         out.extend(itertools.product(range(dim), repeat=n))
@@ -63,18 +64,3 @@ def shuffle(i, j) -> dict:
     multiplicities sum to binomial(|I|+|J|, |I|).
     """
     return dict(_shuffle(tuple(i), tuple(j)))
-
-
-def apply_shuffle_check(g, i, j):
-    """Both sides of the shuffle relation <e_I,g><e_J,g> = <e_I sh e_J, g>.
-
-    Returns (lhs, rhs); for group-like g the two agree.
-    """
-    i, j = tuple(i), tuple(j)
-    if len(i) + len(j) > g.level:
-        raise ValueError(
-            f"|I|+|J| = {len(i) + len(j)} exceeds tensor level {g.level}"
-        )
-    lhs = g.coefficient(i) * g.coefficient(j)
-    rhs = sum(mult * g.coefficient(word) for word, mult in shuffle(i, j).items())
-    return lhs, rhs

@@ -1,6 +1,7 @@
 import ast
 import csv
 import dataclasses
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -88,6 +89,59 @@ def test_sig_command_default_level(tmp_path, capsys):
     assert main(["sig", "--input", str(csv)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["level"] == 4
+
+
+def sig_pin_csv(d):
+    """Nine breakpoints whose time steps run from 1e-4 to 1e4 and whose
+    values run from 1e-5 to 1e3, with alternating signs."""
+    rows = ["t," + ",".join(f"x{c + 1}" for c in range(d))]
+    t = 0.0
+    for k in range(9):
+        if k:
+            t += 10.0 ** ((7 * k) % 9 - 4) * (1 + k / 7)
+        values = [
+            (-1) ** (k + c) * 10.0 ** ((3 * k + 5 * c) % 7 - 3) * ((13 * k + 5 * c) % 11 + 1) / 11
+            for c in range(d)
+        ]
+        rows.append(",".join(repr(v) for v in [t] + values))
+    return "\n".join(rows) + "\n"
+
+
+# sha256 of `sigpath sig` stdout on sig_pin_csv(d) at each (d, --level)
+SIG_HASHES = {
+    (1, 0): "647ee787a490fe3452e738a572c339d5608d2b3d0db37453c170fe4f30e0dd60",
+    (1, 1): "b9830b20d066b6c67f8315103e4c7bce59e692f4e4383a754c37fe254fd5c9f9",
+    (1, 2): "6a6a98e37417aba266ba780818c5838d0229fd6eab9d14dca6de66e1d7115982",
+    (1, 3): "9f37f4c14bc4d9ed338c64148215bf73ac85b387f9f6998aa2f42e74aa2b6451",
+    (1, 4): "e0f0d49469ddee94f0f329b08a254c18fa66d46f64f49761fb3c9a0b93e62995",
+    (1, 5): "85a152c32f7cee34579c5a660c24a38a2f8ff2af01a797360e3a2f7e0338e91c",
+    (2, 0): "c03f7dc8cac669416bc7ce2697554a7526b23083bced3fb64f5b88ddca95af12",
+    (2, 1): "68a5df584da5c15a4a2036b9737d071b00081c949e428e7d3ba43d059fda2ad7",
+    (2, 2): "b29c2924fa780181dbcf744fff925d6590b6e10a3d904b8c8d06a1749cdf8c7d",
+    (2, 3): "1d3ba0d770943bed32417a29421f1b705234ef7e341a401010e0806c6103d5fe",
+    (2, 4): "f5c7f843a33dd5a5481135677cfbc709dd448f6b4cfc7ad41607c20ed5535126",
+    (2, 5): "3f1474a4139deb9829c79eea66e39edc277b8799c60cd19e338c065297280cd7",
+    (3, 0): "d315757475a60dfa519deac6c426a247308780e4021db6e107855a0eb11a73d6",
+    (3, 1): "079e963276c8bbf63e270597ecfd318f219550ca27b3ee77b642078d5e49668c",
+    (3, 2): "36b8e57075208c424dab18f20d2e8423d97d5be81531e8209181238b99bd7689",
+    (3, 3): "d6653a272930701c32971140fb39b892355d76de348fb60426619797515fa15f",
+    (3, 4): "fe8023bfdbcc832ab11adc14002a5d745fd1a1ba1ad75b21a588d92c1912a761",
+    (3, 5): "16fc6fc569cc6163bd7b9ccaf73648ba84a1737a19db2b6a26b54b7a18db8fbc",
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sig_command_output_bytes_are_pinned(tmp_path, capsys, d):
+    # the default level is 4 for d = 1 and 3 otherwise
+    csv = tmp_path / "pin.csv"
+    csv.write_text(sig_pin_csv(d))
+    for level in (None, 0, 1, 2, 3, 4, 5):
+        argv = ["sig", "--input", str(csv)]
+        if level is not None:
+            argv += ["--level", str(level)]
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == SIG_HASHES[d, (4 if d == 1 else 3) if level is None else level]
 
 
 def test_sig_command_overflow_exits_3(tmp_path, capsys):

@@ -192,12 +192,10 @@ def test_feature_rows_are_time_extended_single_path_signatures():
     values = sample_brownian_batch(9, np.arange(5), 2, 1.0, 3)
     paths = [PiecewiseLinearPath(times, v) for v in values]
     terminal = rg.features_from_values(times, values, 3, "terminal").table
-    singles = [signature(time_extend(p), 3).flat() for p in paths]
+    singles = [signature(time_extend(p), 3) for p in paths]
     assert np.array_equal(terminal, np.stack(singles)[:, None])
     stopped = rg.features_from_values(times, values, 3, "stopped").table
-    streams = [
-        np.stack([g.flat() for g in signature_stream(time_extend(p), 3)]) for p in paths
-    ]
+    streams = [signature_stream(time_extend(p), 3) for p in paths]
     assert np.array_equal(stopped, np.stack(streams))
 
 

@@ -39,12 +39,12 @@ def scaled(path, lam):
 
 def test_segment_signature_examples():
     g = segment_signature([1.0], 3)
-    assert np.allclose(g.flat(), [1, 1, 0.5, 1 / 6])
+    assert np.allclose(g, [1, 1, 0.5, 1 / 6])
 
-    assert np.array_equal(segment_signature([0.0, 0.0], 2).flat(), tn.unit(2, 2).flat())
+    assert np.array_equal(segment_signature([0.0, 0.0], 2), tn.unit(2, 2))
 
     diag = segment_signature([1.0, 1.0], 2)
-    assert np.allclose(diag.coeffs[2], 0.5)
+    assert np.allclose(tn.level_blocks(diag, 2)[2], 0.5)
 
 
 def test_segment_signature_matches_chen_oracle():
@@ -56,15 +56,15 @@ def test_segment_signature_matches_chen_oracle():
                 incr = rng.normal(size=dim) * rng.integers(0, 2, size=dim)
                 path = np.stack([np.zeros(dim), incr])
                 row = chen_stream_oracle(path, level)[-1]
-                assert np.array_equal(segment_signature(incr, level).flat(), row)
+                assert np.array_equal(segment_signature(incr, level), row)
 
 
 def test_signature_of_line_is_partition_free():
     line = PiecewiseLinearPath([0, 1], [[0.0, 0.0], [2.0, -1.0]])
     refined = insert_breakpoint(insert_breakpoint(line, 0.3), 0.77)
     expected = segment_signature([2.0, -1.0], 4)
-    assert np.allclose(signature(line, 4).flat(), expected.flat(), atol=1e-15)
-    assert np.allclose(signature(refined, 4).flat(), expected.flat(), atol=1e-13)
+    assert np.allclose(signature(line, 4), expected, atol=1e-15)
+    assert np.allclose(signature(refined, 4), expected, atol=1e-13)
 
 
 def test_signature_axis_path_frozen_values():
@@ -79,10 +79,10 @@ def test_signature_axis_path_frozen_values():
         (1, 0): 0.0,
     }
     for word, value in expected.items():
-        assert g.coefficient(word) == pytest.approx(value, abs=1e-14)
+        assert g[wd.word_index(word, 2)] == pytest.approx(value, abs=1e-14)
     # same numbers from the Chen product of the two segment exponentials
-    chen = tn.mul(segment_signature([1, 0], 2), segment_signature([0, 1], 2))
-    assert np.allclose(g.flat(), chen.flat(), atol=1e-15)
+    chen = tn.mul(segment_signature([1, 0], 2), segment_signature([0, 1], 2), 2)
+    assert np.allclose(g, chen, atol=1e-15)
 
 
 def test_signature_matches_riemann_oracle():
@@ -93,16 +93,16 @@ def test_signature_matches_riemann_oracle():
         for word in wd.all_words(2, 3):
             if word:
                 oracle = iterated_integral_riemann(path, word)
-                assert g.coefficient(word) == pytest.approx(oracle, abs=1e-3)
+                assert g[wd.word_index(word, 2)] == pytest.approx(oracle, abs=1e-3)
 
 
 def test_time_coordinate_identity():
     rng = np.random.default_rng(3)
     hat = time_extend(random_pl_path(rng, 6, 1))
     stream = signature_stream(hat, 5)
-    for tensor, t in zip(stream, hat.times):
+    for row, t in zip(stream, hat.times):
         for k in range(6):
-            assert tensor.coefficient((0,) * k) == pytest.approx(
+            assert row[wd.word_index((0,) * k, 2)] == pytest.approx(
                 t**k / math.factorial(k), abs=1e-12
             )
 
@@ -111,25 +111,26 @@ def test_stream_consistency():
     rng = np.random.default_rng(4)
     path = random_pl_path(rng, 7, 2)
     stream = signature_stream(path, 3)
-    assert len(stream) == path.n_segments + 1
-    assert np.array_equal(stream[0].flat(), tn.unit(2, 3).flat())
-    assert np.allclose(
-        stream[-1].flat(), signature(path, 3).flat(), atol=1e-15
-    )
-    # Chen step: next tensor is the running tensor times the segment exponential
+    assert stream.shape == (path.n_segments + 1, tn.total_entries(2, 3))
+    assert np.array_equal(stream[0], tn.unit(2, 3))
+    assert np.allclose(stream[-1], signature(path, 3), atol=1e-15)
+    # Chen step: next row is the running row times the segment exponential
     for k in range(path.n_segments):
         step = segment_signature(path.values[k + 1] - path.values[k], 3)
-        chained = tn.mul(stream[k], step)
-        assert np.allclose(chained.flat(), stream[k + 1].flat(), atol=1e-12)
+        chained = tn.mul(stream[k], step, 2)
+        assert np.allclose(chained, stream[k + 1], atol=1e-12)
 
 
 def test_signature_is_last_stream_table_row():
+    # the single-path API returns the batched core's rows: the whole table
+    # for signature_stream, its last row for signature
     rng = np.random.default_rng(8)
     for dim, level in [(1, 0), (1, 5), (2, 4), (3, 3)]:
         for n_seg in (1, 9):
             path = random_pl_path(rng, n_seg, dim)
-            row = chen_stream_oracle(path.values, level)[-1]
-            assert np.array_equal(signature(path, level).flat(), row)
+            table = chen_stream_oracle(path.values, level)
+            assert np.array_equal(signature_stream(path, level), table)
+            assert np.array_equal(signature(path, level), table[-1])
     with pytest.raises(ValueError, match="level"):
         signature(path, -1)
 
@@ -146,9 +147,7 @@ def test_signature_overflow_is_a_floating_point_error():
 def test_stream_of_line_midpoint():
     line = PiecewiseLinearPath([0, 0.5, 1], [[0.0], [1.0], [2.0]])
     stream = signature_stream(line, 3)
-    assert np.allclose(
-        stream[1].flat(), segment_signature([1.0], 3).flat(), atol=1e-15
-    )
+    assert np.allclose(stream[1], segment_signature([1.0], 3), atol=1e-15)
 
 
 def test_chen_identity_over_all_splits():
@@ -162,12 +161,10 @@ def test_chen_identity_over_all_splits():
             suffix = PiecewiseLinearPath(
                 path.times[k:] - t_split, path.values[k:]
             )
-            product = tn.mul(signature(prefix, level), signature(suffix, level))
-            for n in range(level + 1):
-                scale = 1.0 + np.abs(whole.coeffs[n]).max()
-                assert np.allclose(
-                    product.coeffs[n], whole.coeffs[n], atol=1e-12 * scale
-                )
+            product = tn.mul(signature(prefix, level), signature(suffix, level), dim)
+            for got, want in zip(tn.level_blocks(product, dim), tn.level_blocks(whole, dim)):
+                scale = 1.0 + np.abs(want).max()
+                assert np.allclose(got, want, atol=1e-12 * scale)
 
 
 def test_signatures_are_group_like():
@@ -178,7 +175,7 @@ def test_signatures_are_group_like():
         for i in words:
             for j in words:
                 if len(i) + len(j) <= level:
-                    lhs, rhs = wd.apply_shuffle_check(g, i, j)
+                    lhs, rhs = tn.apply_shuffle_check(g, dim, i, j)
                     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -187,19 +184,17 @@ def test_reparametrization_invariance():
     path = random_pl_path(rng, 6, 2)
     refined = insert_breakpoint(path, 0.41 * path.T)
     a, b = signature(path, 4), signature(refined, 4)
-    assert np.allclose(a.flat(), b.flat(), atol=1e-13 * (1 + np.abs(a.flat()).max()))
+    assert np.allclose(a, b, atol=1e-13 * (1 + np.abs(a).max()))
 
 
 def test_scaling_grading():
     rng = np.random.default_rng(8)
     path = random_pl_path(rng, 6, 2)
     lam = 1.37
-    g = signature(path, 4)
-    g_lam = signature(scaled(path, lam), 4)
+    g = tn.level_blocks(signature(path, 4), 2)
+    g_lam = tn.level_blocks(signature(scaled(path, lam), 4), 2)
     for n in range(5):
-        assert np.allclose(
-            g_lam.coeffs[n], lam**n * g.coeffs[n], atol=1e-12 * (1 + lam**n)
-        )
+        assert np.allclose(g_lam[n], lam**n * g[n], atol=1e-12 * (1 + lam**n))
 
 
 def test_reverse_check_examples():
@@ -211,6 +206,10 @@ def test_reverse_check_examples():
 
     const = PiecewiseLinearPath([0, 1], [[1.0], [1.0]])
     assert reverse_check(const, 3) == 0.0
+
+    # T - t rounds 1 - 1e-17 onto 1, so reversing the times broke the partition
+    near = PiecewiseLinearPath([0, 1e-17, 1], [[0.0], [1.0], [2.0]])
+    assert reverse_check(near, 3) <= 1e-12
 
 
 def test_apply_examples():
@@ -229,11 +228,12 @@ def test_apply_examples():
 
 
 def test_apply_rejects_mismatches():
-    g = signature(PiecewiseLinearPath([0, 1], [[0.0], [1.0]]), 2)
-    with pytest.raises(ValueError):
+    # 4 entries: a level-3 row over R^1, and no row over R^2
+    g = signature(PiecewiseLinearPath([0, 1], [[0.0], [1.0]]), 3)
+    with pytest.raises(ValueError, match=r"shape \(4,\) is no truncated tensor over R\^2"):
         LinearFunctional(2, 1, {(1,): 1.0}).apply(g)
-    with pytest.raises(ValueError):
-        LinearFunctional(1, 3, {(0, 0, 0): 1.0}).apply(g)
+    with pytest.raises(ValueError, match="tensor level 3 below functional level 4"):
+        LinearFunctional(1, 4, {(0, 0, 0, 0): 1.0}).apply(g)
     with pytest.raises(ValueError, match=r"word \(0, 0\) longer than level 1"):
         LinearFunctional(1, 1, {(0, 0): 1.0})
 

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,28 +13,32 @@ from helpers_oracle import enumerate_interleavings, iterated_integral_riemann
 words_st = st.lists(st.integers(0, 2), max_size=4).map(tuple)
 
 
-def test_offset_examples():
-    assert wd.word_to_offset((), 3) == (0, 0)
-    assert wd.word_to_offset((1,), 3) == (1, 1)
-    assert wd.word_to_offset((1, 2), 3) == (2, 5)
+def test_word_index_examples():
+    # 1 + 3 shorter words, then (1, 2) is the sixth of the nine of length 2
+    assert wd.word_index((), 3) == 0
+    assert wd.word_index((1,), 3) == 2
+    assert wd.word_index((1, 2), 3) == 4 + 5
+    assert wd.word_index((0, 0, 0), 1) == 3
     with pytest.raises(ValueError):
-        wd.word_to_offset((3,), 3)
+        wd.word_index((3,), 3)
 
 
 @given(words_st)
-def test_offset_round_trip(word):
-    # the offset's last `level` base-3 digits spell the word back
-    level, offset = wd.word_to_offset(word, 3)
-    digits = np.base_repr(offset, 3).zfill(level)
-    assert offset < 3**level and tuple(map(int, digits[len(digits) - level :])) == word
+def test_word_index_round_trip(word):
+    # the index's bijective base-3 digits (1, 2, 3) spell the word back
+    index, digits = wd.word_index(word, 3), []
+    while index:
+        index, digit = divmod(index - 1, 3)
+        digits.append(digit)
+    assert tuple(reversed(digits)) == word
+    assert wd.word_index(word, 3) < tn.total_entries(3, len(word))
 
 
 def test_all_words_order_matches_blocks():
     words = wd.all_words(2, 2)
     assert words == [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
     for k, word in enumerate(words):
-        level, offset = wd.word_to_offset(word, 2)
-        assert sum(2**n for n in range(level)) + offset == k
+        assert wd.word_index(word, 2) == k
 
 
 def test_shuffle_examples():
@@ -72,13 +75,13 @@ def test_shuffle_matches_interleaving_enumeration(i, j):
 
 def test_apply_shuffle_check_on_unit():
     one = tn.unit(2, 3)
-    lhs, rhs = wd.apply_shuffle_check(one, (0,), (1,))
+    lhs, rhs = tn.apply_shuffle_check(one, 2, (0,), (1,))
     assert lhs == 0.0 and rhs == 0.0
 
 
 def test_apply_shuffle_check_on_exponential():
-    g = tn.exp(tn.basis_element((0,), 1, 2))
-    lhs, rhs = wd.apply_shuffle_check(g, (0,), (0,))
+    g = tn.exp(tn.basis_element((0,), 1, 2), 1)
+    lhs, rhs = tn.apply_shuffle_check(g, 1, (0,), (0,))
     assert lhs == pytest.approx(1.0) and rhs == pytest.approx(1.0)
 
 
@@ -88,8 +91,8 @@ def test_apply_shuffle_check_on_axis_path():
     g = signature(path, 2)
     for word in [(0,), (1,), (0, 1), (1, 0)]:
         oracle = iterated_integral_riemann(path, word)
-        assert g.coefficient(word) == pytest.approx(oracle, abs=1e-3)
-    lhs, rhs = wd.apply_shuffle_check(g, (0,), (1,))
+        assert g[wd.word_index(word, 2)] == pytest.approx(oracle, abs=1e-3)
+    lhs, rhs = tn.apply_shuffle_check(g, 2, (0,), (1,))
     assert lhs == pytest.approx(1.0, abs=1e-12)
     assert rhs == pytest.approx(1.0, abs=1e-12)
 
@@ -97,4 +100,4 @@ def test_apply_shuffle_check_on_axis_path():
 def test_apply_shuffle_check_rejects_long_words():
     g = tn.unit(2, 2)
     with pytest.raises(ValueError):
-        wd.apply_shuffle_check(g, (0, 1), (1,))
+        tn.apply_shuffle_check(g, 2, (0, 1), (1,))
