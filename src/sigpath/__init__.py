@@ -2,6 +2,7 @@
 approximation of path functionals, random ODEs, and SDE targets."""
 
 from .tensor import (
+    all_words,
     apply_shuffle_check,
     basis_element,
     exp,
@@ -10,10 +11,11 @@ from .tensor import (
     mul,
     norm,
     row_level,
+    shuffle,
     total_entries,
     unit,
+    word_index,
 )
-from .words import all_words, shuffle, word_index
 from .paths import (
     PathFormatError,
     PiecewiseLinearPath,

@@ -27,7 +27,10 @@ def _cmd_sig(args) -> int:
     elif level < 0:
         raise ConfigError(f"--level must be >= 0, got {level}")
     if exceeds_max_words(path.dim + 1, level):
-        raise ConfigError(f"--level {level} exceeds {MAX_WORDS} signature coordinates")
+        asked = f"--level {level}" if args.level is not None else f"the default level {level}"
+        raise ConfigError(
+            f"{asked} exceeds {MAX_WORDS} signature coordinates; pass a lower --level"
+        )
     # the features' own row: the signature of the time-extended path
     with np.errstate(over="ignore", invalid="ignore"):
         row = signature(time_extend(path), level)

@@ -477,8 +477,12 @@ def write_rows(path, rows, append=False):
     with open(path, "a+" if append else "w", encoding="utf-8") as fh:
         if append:
             fh.seek(0)
-            if fh.readline().rstrip("\n") != header:
+            text = fh.read()
+            if text.split("\n", 1)[0] != header:
                 raise ConfigError(f"refusing to append: schema of {path} does not match")
+            if not text.endswith("\n"):
+                # start on a new line, not on the end of the last row
+                lines.insert(0, "")
         else:
             lines.insert(0, header)
         fh.write("".join(line + "\n" for line in lines))

@@ -142,29 +142,24 @@ def _scan_block(times, block, alpha, best):
     """Lag scan of one block (n, G, D) of paths into its slice `best` (n,).
 
     Each lag squares the coordinate increments and adds them in coordinate
-    order, which is the order of np.sum's pairwise summation below eight
-    terms, so the bits match the plain per-lag formula.  Wider paths sum
-    each lag with np.sum itself.
+    order, in place.  A path with no coordinates keeps the zeros of acc_buf,
+    so its norm is 0.
     """
     n, n_grid, dim = block.shape
     coords = [np.ascontiguousarray(block[:, :, k]) for k in range(dim)]
-    acc_buf = np.empty(n * (n_grid - 1))
+    acc_buf = np.zeros(n * (n_grid - 1))
     tmp_buf = np.empty_like(acc_buf)
     row_max = np.empty(n)
     for lag in range(1, n_grid):
         width = n_grid - lag
         acc = acc_buf[: n * width].reshape(n, width)
-        if 0 < dim < 8:
-            tmp = tmp_buf[: n * width].reshape(n, width)
-            for k, coord in enumerate(coords):
-                sq = tmp if k else acc
-                np.subtract(coord[:, lag:], coord[:, :width], out=sq)
-                np.multiply(sq, sq, out=sq)
-                if k:
-                    np.add(acc, sq, out=acc)
-        else:
-            dv = block[:, lag:, :] - block[:, :width, :]
-            np.sum(dv * dv, axis=-1, out=acc)
+        tmp = tmp_buf[: n * width].reshape(n, width)
+        for k, coord in enumerate(coords):
+            sq = tmp if k else acc
+            np.subtract(coord[:, lag:], coord[:, :width], out=sq)
+            np.multiply(sq, sq, out=sq)
+            if k:
+                np.add(acc, sq, out=acc)
         np.sqrt(acc, out=acc)
         np.divide(acc, (times[lag:] - times[:width]) ** alpha, out=acc)
         np.max(acc, axis=1, out=row_max)

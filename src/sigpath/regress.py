@@ -16,8 +16,7 @@ import numpy as np
 
 from .signature import LinearFunctional, stream_table
 from .stochastic import train_mask
-from .tensor import total_entries
-from .words import all_words
+from .tensor import all_words, total_entries
 
 __all__ = [
     "FeatureMatrix",

@@ -13,8 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .paths import PiecewiseLinearPath
-from .tensor import mul, norm, row_level, total_entries, unit
-from .words import all_words, check_word, word_index
+from .tensor import all_words, check_word, mul, norm, row_level, total_entries, unit, word_index
 
 __all__ = [
     "LinearFunctional",
@@ -49,8 +48,6 @@ def signature(path: PiecewiseLinearPath, level: int) -> np.ndarray:
 def _own_words(dim: int, level: int) -> tuple:
     """all_words(dim, level) relabelled l -> l + 1: a path's own coordinates
     as word_streams letters, without the time letter 0."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
     return tuple(tuple(l + 1 for l in w) for w in all_words(dim, level))
 
 
@@ -81,8 +78,6 @@ def stream_table(times: np.ndarray, values: np.ndarray, level: int, eval_idx=Non
     coefficients flattened level-major, i.e. word_streams over every word
     of length <= level; only the requested rows are stored.
     """
-    if level < 0:
-        raise ValueError("level must be >= 0")
     words = all_words(np.shape(values)[-1] + 1, level)
     return word_streams(times, values, words, eval_idx)
 

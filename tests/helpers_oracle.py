@@ -115,8 +115,9 @@ def dense_holder_oracle(path, alpha, n_points=4097, extra_times=None):
 
 def lag_scan_oracle(times, values, alpha):
     """max over grid pairs s < t of |X_t - X_s| / (t - s)^alpha, one index
-    lag at a time over the whole (..., G, dim) batch: the plain formula the
-    blocked scan in `paths.max_increment_ratio` must match bit for bit."""
+    lag at a time over the whole (..., G, dim) batch, the squared coordinate
+    increments summed in coordinate order: the plain formula the blocked
+    scan in `paths.max_increment_ratio` must match bit for bit."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     n_grid = times.size
@@ -124,7 +125,10 @@ def lag_scan_oracle(times, values, alpha):
     for lag in range(1, n_grid):
         dt = times[lag:] - times[:-lag]
         dv = values[..., lag:, :] - values[..., : n_grid - lag, :]
-        ratio = np.sqrt(np.sum(dv * dv, axis=-1)) / dt**alpha
+        sq = np.zeros(dv.shape[:-1])
+        for k in range(dv.shape[-1]):
+            sq = sq + dv[..., k] * dv[..., k]
+        ratio = np.sqrt(sq) / dt**alpha
         best = np.maximum(best, ratio.max(axis=-1))
     return best
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import sigpath.tensor as tn
-import sigpath.words as wd
 from sigpath.experiments import (
     ExperimentConfig,
     run_config,
@@ -55,7 +54,7 @@ def test_criterion_1_algebraic_identity_suite():
                 assert np.allclose(got, want, atol=1e-12 * scale)
 
         # shuffle identity for all word pairs with |I| + |J| <= 4
-        words = [w for w in wd.all_words(dim, 3) if w]
+        words = [w for w in tn.all_words(dim, 3) if w]
         for i in words:
             for j in words:
                 if len(i) + len(j) <= 4:
@@ -90,7 +89,7 @@ def test_criterion_2_time_coordinate_identity():
         for row, t in zip(stream, hat.times):
             for k in range(6):
                 expected = t**k / math.factorial(k)
-                assert abs(row[wd.word_index((0,) * k, 2)] - expected) <= 1e-12
+                assert abs(row[tn.word_index((0,) * k, 2)] - expected) <= 1e-12
     report(2, "time-coordinate identity", started, 5.0)
 
 
@@ -100,10 +99,10 @@ def test_criterion_3_brute_force_oracle_equivalence():
     for _ in range(20):
         path = random_pl_path(rng, 3, 2)
         g = signature(path, 3)
-        for word in wd.all_words(2, 3):
+        for word in tn.all_words(2, 3):
             if word:
                 oracle = iterated_integral_riemann(path, word, n_grid=1000)
-                assert abs(g[wd.word_index(word, 2)] - oracle) <= 1e-3
+                assert abs(g[tn.word_index(word, 2)] - oracle) <= 1e-3
     report(3, "brute-force oracle equivalence", started, 60.0)
 
 

@@ -238,9 +238,17 @@ def test_append_extends_matching_schema(tmp_path):
     cfg = write_config(tmp_path, "exp.json", small_functional_config())
     out = tmp_path / "res.csv"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    n_lines = len(out.read_text().splitlines())
-    assert main(["run", "--config", cfg, "--out", str(out), "--append"]) == 0
-    assert len(out.read_text().splitlines()) == 2 * n_lines - 1
+    first = out.read_text()
+    n_lines = len(first.splitlines())
+    # the second input lost its final newline: the appended rows must still
+    # start on a line of their own
+    for existing in (first, first.rstrip("\n")):
+        out.write_text(existing)
+        assert main(["run", "--config", cfg, "--out", str(out), "--append"]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2 * n_lines - 1
+        n_fields = lines[0].count(",")
+        assert all(line.count(",") == n_fields for line in lines)
 
 
 def test_append_merges_fitted_functionals(tmp_path):
@@ -420,11 +428,17 @@ def test_missing_config_file_exits_2(tmp_path):
 @pytest.mark.parametrize(
     "case",
     ["negative-level", "huge-level", "non-utf8-config", "non-utf8-input",
-     "dir-config", "dir-input", "dir-out"],
+     "dir-config", "dir-input", "dir-out", "default-level-too-wide"],
 )
-def test_bad_cli_input_exits_2(tmp_path, case):
+def test_bad_cli_input_exits_2(tmp_path, capsys, case):
     csv = tmp_path / "line.csv"
     csv.write_text("t,x1\n0,0\n1,1\n")
+    # 15 coordinates: the default level 3 has 1 + 16 + 256 + 4096 > MAX_WORDS words
+    wide = tmp_path / "wide.csv"
+    wide.write_text(
+        "t," + ",".join(f"x{i}" for i in range(1, 16)) + "\n"
+        + "0" + ",0" * 15 + "\n" + "1" + ",1" * 15 + "\n"
+    )
     cfg = write_config(tmp_path, "exp.json", small_functional_config())
     binary = tmp_path / "latin1.txt"
     binary.write_bytes("t,x1\n0,\u00e9\n".encode("latin-1"))
@@ -436,8 +450,14 @@ def test_bad_cli_input_exits_2(tmp_path, case):
         "dir-config": ["run", "--config", str(tmp_path)],
         "dir-input": ["sig", "--input", str(tmp_path)],
         "dir-out": ["run", "--config", cfg, "--out", str(tmp_path)],
+        "default-level-too-wide": ["sig", "--input", str(wide)],
     }[case]
     assert main(argv) == 2
+    if case == "default-level-too-wide":
+        assert capsys.readouterr().err == (
+            "error: the default level 3 exceeds 4096 signature coordinates;"
+            " pass a lower --level\n"
+        )
 
 
 @pytest.mark.parametrize("case", ["dir-out", "missing-parent", "dir-functionals"])
@@ -920,9 +940,10 @@ def test_traced_benchmark_op_records_its_spans(tmp_path, payload):
 
 def test_every_public_name_resolves():
     # a stale __all__ entry would otherwise break only `from ... import *`
-    for name in ("tensor", "words", "paths", "signature", "stochastic", "regress", "experiments"):
-        module = importlib.import_module(f"sigpath.{name}")
-        missing = [n for n in module.__all__ if not hasattr(module, n)]
+    names = sorted(p.stem for p in (ROOT / "src" / "sigpath").glob("*.py"))
+    for name in names:
+        module = importlib.import_module("sigpath" if name == "__init__" else f"sigpath.{name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, (name, missing)
 
 

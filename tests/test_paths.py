@@ -199,7 +199,7 @@ def assert_same_bits(got, want):
 @given(
     st.sampled_from([(), (5,), (3, 4), (2, 130)]),
     st.sampled_from(sorted(SCAN_GRIDS)),
-    st.sampled_from([1, 2, 3, 9]),
+    st.sampled_from([0, 1, 2, 3, 8, 9]),
     st.sampled_from([0.4, 1.0]),
     st.integers(0, 2**32 - 1),
 )

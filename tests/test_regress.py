@@ -10,7 +10,7 @@ from sigpath.paths import PiecewiseLinearPath, dyadic_times, time_extend
 from sigpath.signature import LinearFunctional, signature, signature_stream
 from sigpath.stochastic import _split_permutation, sample_brownian_batch
 from sigpath.tensor import total_entries
-from sigpath.words import all_words
+from sigpath.tensor import all_words
 from helpers_oracle import exact_ridge_oracle, lstsq_oracle, ridge_oracle
 
 

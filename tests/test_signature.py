@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import sigpath.signature as sg
 import sigpath.tensor as tn
-import sigpath.words as wd
 from sigpath.paths import (
     PiecewiseLinearPath,
     insert_breakpoint,
@@ -79,7 +78,7 @@ def test_signature_axis_path_frozen_values():
         (1, 0): 0.0,
     }
     for word, value in expected.items():
-        assert g[wd.word_index(word, 2)] == pytest.approx(value, abs=1e-14)
+        assert g[tn.word_index(word, 2)] == pytest.approx(value, abs=1e-14)
     # same numbers from the Chen product of the two segment exponentials
     chen = tn.mul(segment_signature([1, 0], 2), segment_signature([0, 1], 2), 2)
     assert np.allclose(g, chen, atol=1e-15)
@@ -90,10 +89,10 @@ def test_signature_matches_riemann_oracle():
     for _ in range(3):
         path = random_pl_path(rng, 3, 2)
         g = signature(path, 3)
-        for word in wd.all_words(2, 3):
+        for word in tn.all_words(2, 3):
             if word:
                 oracle = iterated_integral_riemann(path, word)
-                assert g[wd.word_index(word, 2)] == pytest.approx(oracle, abs=1e-3)
+                assert g[tn.word_index(word, 2)] == pytest.approx(oracle, abs=1e-3)
 
 
 def test_time_coordinate_identity():
@@ -102,7 +101,7 @@ def test_time_coordinate_identity():
     stream = signature_stream(hat, 5)
     for row, t in zip(stream, hat.times):
         for k in range(6):
-            assert row[wd.word_index((0,) * k, 2)] == pytest.approx(
+            assert row[tn.word_index((0,) * k, 2)] == pytest.approx(
                 t**k / math.factorial(k), abs=1e-12
             )
 
@@ -171,7 +170,7 @@ def test_signatures_are_group_like():
     rng = np.random.default_rng(6)
     for dim, level in [(2, 4), (3, 4)]:
         g = signature(random_pl_path(rng, 8, dim), level)
-        words = [w for w in wd.all_words(dim, level - 1) if w]
+        words = [w for w in tn.all_words(dim, level - 1) if w]
         for i in words:
             for j in words:
                 if len(i) + len(j) <= level:
@@ -267,7 +266,7 @@ def word_stream_cases(draw):
     times = random_times(rng, n_pts)
     values = rng.normal(size=batch + (n_pts, d)).cumsum(axis=-2)
     eval_idx = sorted(draw(st.sets(st.integers(0, n_pts - 1))))
-    words = wd.all_words(d + 1, level)
+    words = tn.all_words(d + 1, level)
     picks = draw(st.lists(st.integers(0, len(words) - 1), max_size=6))
     return times, values, level, eval_idx, [words[i] for i in picks]
 
@@ -280,7 +279,7 @@ def test_word_streams_equal_dense_columns(case):
     times, values, level, eval_idx, words = case
     hat = time_extend_values(times, values)
     dense = chen_stream_oracle(hat, level, eval_idx=eval_idx)
-    columns = [wd.all_words(hat.shape[-1], level).index(w) for w in words]
+    columns = [tn.all_words(hat.shape[-1], level).index(w) for w in words]
     sparse = word_streams(times, values, words, eval_idx=eval_idx)
     assert sparse.shape == dense[..., columns].shape
     assert np.array_equal(sparse, dense[..., columns])

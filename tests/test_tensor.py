@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as nph
 
 import sigpath.tensor as tn
-import sigpath.words as wd
 from helpers_oracle import series_product_1d
 
 
@@ -47,12 +46,12 @@ def test_mul_expands_convolution():
     a = tn.unit(2, 2) + tn.basis_element((0,), 2, 2)
     b = tn.unit(2, 2) + tn.basis_element((1,), 2, 2)
     prod = tn.mul(a, b, 2)
-    assert prod[wd.word_index((), 2)] == 1.0
-    assert prod[wd.word_index((0,), 2)] == 1.0
-    assert prod[wd.word_index((1,), 2)] == 1.0
-    assert prod[wd.word_index((0, 1), 2)] == 1.0
+    assert prod[tn.word_index((), 2)] == 1.0
+    assert prod[tn.word_index((0,), 2)] == 1.0
+    assert prod[tn.word_index((1,), 2)] == 1.0
+    assert prod[tn.word_index((0, 1), 2)] == 1.0
     for word in [(0, 0), (1, 0), (1, 1)]:
-        assert prod[wd.word_index(word, 2)] == 0.0
+        assert prod[tn.word_index(word, 2)] == 0.0
 
 
 def test_mul_unit_neutral():
