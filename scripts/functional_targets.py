@@ -1,10 +1,15 @@
 """Fit linear functionals of terminal signatures to the four built-in path
 functionals and tabulate test errors across truncation levels.
 
+Each run is configs/functional-terminal-square.json with its target, depth,
+seed and sample count replaced.
+
 Usage: python3 scripts/functional_targets.py [--out results/functional.csv]
 """
 
 import argparse
+import json
+from pathlib import Path
 
 from sigpath.experiments import ExperimentConfig, run_config
 
@@ -19,17 +24,12 @@ def main():
     ap.add_argument("--depth", type=int, default=8)
     args = ap.parse_args()
 
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    base = json.loads((configs / "functional-terminal-square.json").read_text())
     for i, target in enumerate(TARGETS):
         cfg = ExperimentConfig.from_dict(
-            {
-                "kind": "functional",
-                "seed": args.seed,
-                "target": target,
-                "depths": [args.depth],
-                "levels": [1, 2, 3, 4],
-                "n_samples": args.samples,
-                "lam": 0.0,
-            }
+            dict(base, target=target, depths=[args.depth], seed=args.seed,
+                 n_samples=args.samples)
         )
         run_config(cfg, out=args.out, append=i > 0)
     print(f"wrote {args.out}")

@@ -1,10 +1,15 @@
 """Approximate random-ODE and geometric-Brownian SDE solutions by linear
 functionals on signature streams, across truncation levels and depths.
 
+The runs are configs/ode-linear.json, the same with the tanh-bounded field,
+and configs/sde-gbm.json, each with its seed and sample count replaced.
+
 Usage: python3 scripts/ode_sde_targets.py [--out results/odesde.csv]
 """
 
 import argparse
+import json
+from pathlib import Path
 
 from sigpath.experiments import ExperimentConfig, run_config
 
@@ -16,31 +21,14 @@ def main():
     ap.add_argument("--samples", type=int, default=2000)
     args = ap.parse_args()
 
-    ode_linear = {
-        "kind": "ode",
-        "seed": args.seed,
-        "field": "linear",
-        "a": 0.0,
-        "b": 0.5,
-        "depths": [8],
-        "levels": [1, 2, 3, 4],
-        "n_samples": args.samples,
-        "lam": 0.0,
-    }
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    ode_linear = json.loads((configs / "ode-linear.json").read_text())
+    sde_gbm = json.loads((configs / "sde-gbm.json").read_text())
     ode_tanh = dict(ode_linear, field="tanh-bounded")
-    sde_gbm = {
-        "kind": "sde",
-        "seed": args.seed,
-        "a": 0.5,
-        "b": 1.0,
-        "depths": [4, 6, 8],
-        "levels": [1, 2, 3, 4],
-        "n_samples": args.samples,
-        "n_max": 14,
-        "lam": 0.0,
-    }
     for i, payload in enumerate((ode_linear, ode_tanh, sde_gbm)):
-        cfg = ExperimentConfig.from_dict(payload)
+        cfg = ExperimentConfig.from_dict(
+            dict(payload, seed=args.seed, n_samples=args.samples)
+        )
         run_config(cfg, out=args.out, append=i > 0)
     print(f"wrote {args.out}")
 

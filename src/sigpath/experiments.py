@@ -57,7 +57,7 @@ FUNCTIONAL_TARGETS = {
 }
 # Functionals of the time-extended 2-D Brownian signature.
 LEVY_TARGETS = {
-    "levy-area": levy_area_functional(dim=3),
+    "levy-area": levy_area_functional(),
     "time-coordinate": LinearFunctional(3, 2, {(0,): 1.0}),
     "first-coordinate": LinearFunctional(3, 2, {(1,): 1.0}),
 }
@@ -141,6 +141,7 @@ class ExperimentConfig:
     b: float = 1.0
     y0: float = 1.0
     substeps: int = 4
+    # levy's reference depth; from_dict sets max(depths) for other kinds if unset
     n_max: int = 14
 
     @classmethod
@@ -155,15 +156,14 @@ class ExperimentConfig:
             if key not in field_types:
                 raise ConfigError(f"unknown config key {key!r}")
             merged[key] = _FIELD_CHECKS[field_types[key]](key, value)
-        if "n_max" not in merged and kind in ("functional", "ode", "moments"):
-            # empty depths fall through to validate's non-empty check
+        if "n_max" not in merged and kind != "levy":
+            # empty depths fall through to the non-empty check
             merged["n_max"] = max(merged.get("depths", cls.depths), default=0)
-        cfg = cls(kind=kind, **merged)
-        cfg.validate()
-        return cfg
+        return cls(kind=kind, **merged)
 
-    def validate(self):
+    def __post_init__(self):
         c = self
+        _lookup(EXPERIMENT_KINDS, c.kind, "experiment kind")
         if not 0 <= c.seed < 2**64:
             raise ConfigError("seed must be an integer in [0, 2**64)")
         if not 1 <= c.d <= MAX_DIM:
@@ -464,8 +464,6 @@ def run_moments(cfg: ExperimentConfig):
 def _format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 

@@ -44,14 +44,15 @@ class FeatureMatrix:
 
     table is (n_samples, rows_per_sample, D), D = total_entries(dim, level):
     one row per sample in terminal mode, one per eval time in stopped mode,
-    where time_weights (rows_per_sample,) holds the trapezoid weights of the
-    eval times. A lower level's features are a column prefix of the table.
+    each weighed in the L^p error by time_weights (rows_per_sample,): np.ones(1)
+    in terminal mode, the eval times' trapezoid weights in stopped mode. A
+    lower level's features are a column prefix of the table.
     """
 
     table: np.ndarray
     dim: int
     level: int
-    time_weights: np.ndarray | None = None
+    time_weights: np.ndarray
 
     def __post_init__(self):
         width = total_entries(self.dim, self.level)
@@ -60,6 +61,8 @@ class FeatureMatrix:
                 f"feature table must have shape (samples, rows, {width}) for "
                 f"dim {self.dim}, level {self.level}"
             )
+        if np.shape(self.time_weights) != self.table.shape[1:2]:
+            raise ValueError("time_weights must hold one weight per row of a sample")
         if not np.isfinite(self.table).all():
             raise FloatingPointError("non-finite feature entry (overflow)")
         if not np.allclose(self.table[..., 0], 1.0, rtol=0.0, atol=1e-12):
@@ -92,7 +95,7 @@ def features_from_values(
         raise ValueError(f"unknown mode {mode!r}")
     stopped = mode == "stopped"
     table = stream_table(times, values, level, eval_idx=None if stopped else [n_pts - 1])
-    weights = trapezoid_weights(times) if stopped else None
+    weights = trapezoid_weights(times) if stopped else np.ones(1)
     return FeatureMatrix(table, d + 1, level, weights)
 
 
@@ -125,10 +128,8 @@ class FitReport:
 
 def _weighted_lp(residuals, weights, p):
     """L^p norm of (samples, rows) residuals: the mean over samples of the
-    row sum weighted by `weights` (rows,), or the plain mean if None."""
+    row sum of |r|^p weighted by `weights` (rows,)."""
     terms = np.abs(residuals) ** p
-    if weights is None:
-        return float(np.mean(terms.ravel()) ** (1.0 / p))
     total = float(np.sum((weights * terms).ravel()))
     return float((total / residuals.shape[0]) ** (1.0 / p))
 
@@ -239,10 +240,10 @@ def fit(
 
 
 def lp_error(functional: LinearFunctional, features: FeatureMatrix, targets, p: float) -> float:
-    """Empirical L^p error of a functional against targets.
-
-    Terminal mode: (mean_i |r_i|^p)^(1/p).  Stopped mode: trapezoid time
-    weights inside the sample mean, matching the dt x P norm.
+    """Empirical L^p error of a functional against targets,
+    (mean_i sum_j w_j |r_ij|^p)^(1/p) with the features' time_weights w:
+    the sample mean of |r_i|^p at T in terminal mode (w = 1), of its
+    trapezoid time integral in stopped mode (the dt x P norm).
     """
     if p < 1:
         raise ValueError("p must be >= 1")

@@ -296,11 +296,9 @@ class LinearFunctional:
         return cls(int(payload["dim"]), int(payload["level"]), coeffs)
 
 
-def levy_area_functional(dim: int = 3, first: int = 1, second: int = 2) -> LinearFunctional:
-    """Antisymmetric level-2 combination 0.5*(<e_(i,j)> - <e_(j,i)>)."""
-    return LinearFunctional(
-        dim, 2, {(first, second): 0.5, (second, first): -0.5}
-    )
+def levy_area_functional() -> LinearFunctional:
+    """0.5*(<e_(1,2)> - <e_(2,1)>): the Levy area of a time-extended 2-D path."""
+    return LinearFunctional(3, 2, {(1, 2): 0.5, (2, 1): -0.5})
 
 
 def reverse_check(path: PiecewiseLinearPath, level: int) -> float:

@@ -33,6 +33,7 @@ from sigpath.experiments import (
     FUNCTIONAL_TARGETS,
     LEVY_TARGETS,
     VECTOR_FIELDS,
+    ConfigError,
     ExperimentConfig,
     run_config,
     run_levy,
@@ -522,7 +523,7 @@ BAD_VALUES = st.sampled_from(
 def run_configs(draw):
     payload = {"kind": draw(st.sampled_from(list(EXPERIMENT_KINDS)))}
     optional = draw(st.lists(st.sampled_from(sorted(CONFIG_FIELDS)), max_size=5))
-    # n_max is sometimes left out: most kinds derive it from the depths
+    # n_max is sometimes left out: every kind but levy derives it from the depths
     keys = ["n_samples", "depths"] + (["n_max"] if draw(st.booleans()) else [])
     for key in keys + optional:
         payload[key] = draw(CONFIG_FIELDS[key])
@@ -659,6 +660,36 @@ def test_config_defaults_by_kind():
     assert moments.beta == 0.01 and moments.m == 2
     func = ExperimentConfig.from_dict({"kind": "functional"})
     assert func.depths == (8,) and func.n_max == 8
+    assert ExperimentConfig.from_dict({"kind": "sde"}).n_max == 8
+
+
+def test_sde_depth_past_levy_reference_runs(tmp_path):
+    # sde never reads n_max, so its depths are bounded only as the other
+    # regression kinds' are: n_max is derived from them
+    payload = {"kind": "sde", "depths": [15], "levels": [1], "n_samples": 10}
+    cfg = write_config(tmp_path, "sde.json", payload)
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    with out.open() as fh:
+        assert [int(r["depth"]) for r in csv.DictReader(fh)] == [15]
+
+
+def test_config_checks_itself_when_built():
+    assert not hasattr(ExperimentConfig, "validate")
+    with pytest.raises(ConfigError, match="levy experiment needs d = 2"):
+        ExperimentConfig(kind="levy")
+    with pytest.raises(ConfigError, match="unknown experiment kind 'mystery'"):
+        ExperimentConfig(kind="mystery")
+    levy = ExperimentConfig(kind="levy", d=2, target="levy-area")
+    assert levy == ExperimentConfig.from_dict(
+        {"kind": "levy", "depths": [8], "levels": [1, 2, 3, 4], "n_samples": 2000}
+    )
+
+
+def test_write_rows_formats_numpy_scalars_as_python_numbers(tmp_path):
+    out = tmp_path / "rows.csv"
+    experiments.write_rows(out, [{"x": np.float64(1.5), "ok": True}])
+    assert out.read_text() == "x,ok\n1.5,true\n"
 
 
 def test_moments_beta_zero_limit_and_monotonicity():
@@ -890,7 +921,7 @@ sys.exit(cli.main(["run", "--config", sys.argv[2], "--out", sys.argv[3]]))
 
 
 def test_out_of_memory_run_exits_2(tmp_path):
-    # passes validate, then the depth-20 lattice of 2000 paths needs 15.6 GiB
+    # passes the config checks, then the depth-20 lattice of 2000 paths needs 15.6 GiB
     cfg = write_config(
         tmp_path, "big.json",
         {"kind": "functional", "depths": [20], "levels": [1, 2],

@@ -153,15 +153,15 @@ def test_fit_rejects_bad_inputs():
     # dim 2, level 1 has 3 columns
     for table in (np.ones((2, 1, 2)), np.ones((2, 3))):
         with pytest.raises(ValueError, match="feature table must have shape"):
-            rg.FeatureMatrix(table, 2, 1)
+            rg.FeatureMatrix(table, 2, 1, np.ones(1))
     with pytest.raises(ValueError, match="empty-word column must be identically 1"):
-        rg.FeatureMatrix(np.full((2, 1, 3), 2.0), 2, 1)
+        rg.FeatureMatrix(np.full((2, 1, 3), 2.0), 2, 1, np.ones(1))
     with pytest.raises(ValueError, match="unknown mode 'bogus'"):
         rg.features_from_values(dyadic_times(1.0, 2), np.zeros((2, 5, 1)), 1, "bogus")
 
 
 def test_lp_error_examples():
-    feats = rg.FeatureMatrix(np.ones((2, 1, 1)), 2, 0)
+    feats = rg.FeatureMatrix(np.ones((2, 1, 1)), 2, 0, np.ones(1))
     zero = LinearFunctional(2, 0, {})
     assert rg.lp_error(zero, feats, [3.0, 4.0], 2.0) == pytest.approx(
         np.sqrt(25.0 / 2.0)
@@ -174,6 +174,15 @@ def test_lp_error_examples():
         rg.lp_error(zero, feats, [1.0, 2.0], 0.5)
     with pytest.raises(ValueError, match="functional level exceeds feature level"):
         rg.lp_error(LinearFunctional(2, 1, {}), feats, [1.0, 2.0], 2.0)
+
+
+def test_feature_matrix_holds_one_time_weight_per_row():
+    stopped = brownian_features(3, 10, 2, 1, mode="stopped")
+    assert stopped.time_weights.shape == stopped.table.shape[1:2] == (5,)
+    assert brownian_features(3, 10, 2, 1).time_weights.tolist() == [1.0]
+    for weights in (np.ones(1), None, np.ones((5, 1))):
+        with pytest.raises(ValueError, match="one weight per row of a sample"):
+            rg.FeatureMatrix(stopped.table, stopped.dim, stopped.level, weights)
 
 
 def test_lp_error_exact_functional_is_zero():
