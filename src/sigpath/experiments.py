@@ -107,13 +107,14 @@ def _check_str(key, value):
     return value
 
 
-# The checker of each ExperimentConfig annotation.  Values keep the type they
-# were given (an int p stays int), so every config_hash is unchanged.
+# The checker of each ExperimentConfig annotation, run by __post_init__ on every
+# field but `kind`: lists become tuples, and an int p stays an int.
 _FIELD_CHECKS = {
     "int": _check_int,
     "tuple": _int_list,
     "float": _check_number,
     "float | None": lambda key, value: value if value is None else _check_number(key, value),
+    "int | None": lambda key, value: value if value is None else _check_int(key, value),
     "str": _check_str,
 }
 
@@ -141,29 +142,28 @@ class ExperimentConfig:
     b: float = 1.0
     y0: float = 1.0
     substeps: int = 4
-    # levy's reference depth; from_dict sets max(depths) for other kinds if unset
-    n_max: int = 14
+    # the levy reference depth (a levy default, 14); unset is max(depths, default=0)
+    n_max: int | None = None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        raw = dict(raw)
-        kind = raw.pop("kind", None)
-        merged = dict(_lookup(EXPERIMENT_KINDS, kind, "experiment kind")[1])
-        field_types = {f.name: f.type for f in fields(cls) if f.name != "kind"}
-        for key, value in raw.items():
-            if key not in field_types:
+        defaults = _lookup(EXPERIMENT_KINDS, raw.get("kind"), "experiment kind")[1]
+        names = {f.name for f in fields(cls)}
+        for key in raw:
+            if key not in names:
                 raise ConfigError(f"unknown config key {key!r}")
-            merged[key] = _FIELD_CHECKS[field_types[key]](key, value)
-        if "n_max" not in merged and kind != "levy":
-            # empty depths fall through to the non-empty check
-            merged["n_max"] = max(merged.get("depths", cls.depths), default=0)
-        return cls(kind=kind, **merged)
+        return cls(**{**defaults, **raw})
 
     def __post_init__(self):
         c = self
         _lookup(EXPERIMENT_KINDS, c.kind, "experiment kind")
+        for f in fields(self)[1:]:
+            value = _FIELD_CHECKS[f.type](f.name, getattr(c, f.name))
+            object.__setattr__(self, f.name, value)
+        if c.n_max is None:  # empty depths fail the non-empty check below
+            object.__setattr__(self, "n_max", max(c.depths, default=0))
         if not 0 <= c.seed < 2**64:
             raise ConfigError("seed must be an integer in [0, 2**64)")
         if not 1 <= c.d <= MAX_DIM:
@@ -462,7 +462,7 @@ def run_moments(cfg: ExperimentConfig):
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     return str(value)
 
@@ -514,7 +514,7 @@ EXPERIMENT_KINDS = {
     "levy": (
         run_levy,
         {"d": 2, "depths": (4, 5, 6, 7, 8, 9, 10), "levels": (2,),
-         "n_samples": 10000, "target": "levy-area"},
+         "n_samples": 10000, "target": "levy-area", "n_max": 14},
     ),
     "moments": (run_moments, {"levels": (), "n_samples": 10000, "beta": 0.01, "m": 2}),
 }

@@ -127,8 +127,10 @@ class FitReport:
 
 
 def _weighted_lp(residuals, weights, p):
-    """L^p norm of (samples, rows) residuals: the mean over samples of the
-    row sum of |r|^p weighted by `weights` (rows,)."""
+    """L^p norm, 1 <= p < inf, of (samples, rows) residuals: the mean over
+    samples of the row sum of |r|^p weighted by `weights` (rows,)."""
+    if not 1 <= p < np.inf:
+        raise ValueError(f"p must lie in [1, inf), got {p!r}")
     terms = np.abs(residuals) ** p
     total = float(np.sum((weights * terms).ravel()))
     return float((total / residuals.shape[0]) ** (1.0 / p))
@@ -240,13 +242,11 @@ def fit(
 
 
 def lp_error(functional: LinearFunctional, features: FeatureMatrix, targets, p: float) -> float:
-    """Empirical L^p error of a functional against targets,
+    """Empirical L^p error, 1 <= p < inf, of a functional against targets,
     (mean_i sum_j w_j |r_ij|^p)^(1/p) with the features' time_weights w:
     the sample mean of |r_i|^p at T in terminal mode (w = 1), of its
     trapezoid time integral in stopped mode (the dt x P norm).
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
     y = np.asarray(targets, dtype=float).ravel()
     width = total_entries(features.dim, functional.level)
     if functional.level > features.level:

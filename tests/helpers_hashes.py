@@ -23,6 +23,6 @@ def mismatch_note():
     )
     return (
         f"output bytes differ from the recorded hashes ({threads}); "
-        "lam: 0 fits round differently at other BLAS thread counts "
-        "(ROADMAP item 1)"
+        "until lam: 0 fit bits stop depending on the BLAS thread count, "
+        "they match only at the count they were recorded at"
     )

@@ -680,16 +680,34 @@ def test_config_checks_itself_when_built():
         ExperimentConfig(kind="levy")
     with pytest.raises(ConfigError, match="unknown experiment kind 'mystery'"):
         ExperimentConfig(kind="mystery")
-    levy = ExperimentConfig(kind="levy", d=2, target="levy-area")
+    levy = ExperimentConfig(kind="levy", d=2, target="levy-area", n_max=14)
     assert levy == ExperimentConfig.from_dict(
         {"kind": "levy", "depths": [8], "levels": [1, 2, 3, 4], "n_samples": 2000}
     )
+    # field types and the n_max rule hold however a config is built
+    with pytest.raises(ConfigError, match="seed must be an integer, got 'x'"):
+        ExperimentConfig(kind="functional", seed="x")
+    with pytest.raises(ConfigError, match="depths entry must be an integer, got 8.0"):
+        ExperimentConfig(kind="functional", depths=[8.0])
+    assert ExperimentConfig(kind="sde", depths=(15,)).n_max == 15
+    built = ExperimentConfig(kind="functional", depths=[4, 8])
+    assert built.depths == (4, 8) and built.n_max == 8
+    assert hash(built) == hash(ExperimentConfig.from_dict(
+        {"kind": "functional", "depths": [4, 8]}
+    ))
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        raw = json.loads(path.read_text())
+        kind = raw.pop("kind")
+        direct = ExperimentConfig(kind=kind, **{**EXPERIMENT_KINDS[kind][1], **raw})
+        loaded = ExperimentConfig.from_dict({"kind": kind, **raw})
+        assert direct == loaded and direct.config_hash() == loaded.config_hash(), path
 
 
 def test_write_rows_formats_numpy_scalars_as_python_numbers(tmp_path):
     out = tmp_path / "rows.csv"
-    experiments.write_rows(out, [{"x": np.float64(1.5), "ok": True}])
-    assert out.read_text() == "x,ok\n1.5,true\n"
+    row = {"x": np.float64(1.5), "ok": True, "yes": np.True_, "no": np.False_}
+    experiments.write_rows(out, [row])
+    assert out.read_text() == "x,ok,yes,no\n1.5,true,true,false\n"
 
 
 def test_moments_beta_zero_limit_and_monotonicity():

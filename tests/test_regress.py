@@ -160,6 +160,17 @@ def test_fit_rejects_bad_inputs():
         rg.features_from_values(dyadic_times(1.0, 2), np.zeros((2, 5, 1)), 1, "bogus")
 
 
+@pytest.mark.parametrize("p", [0, 0.5, np.nan, np.inf])
+def test_every_lp_error_rejects_p_outside_one_to_inf(p):
+    # below 1 the power mean is no norm, at inf it is not the sup norm
+    feats = brownian_features(12, 20, 3, 1)
+    y = feats.matrix[:, 1]
+    with pytest.raises(ValueError, match=r"p must lie in \[1, inf\)"):
+        rg.fit(feats, y, p=p)
+    with pytest.raises(ValueError, match=r"p must lie in \[1, inf\)"):
+        rg.lp_error(LinearFunctional(2, 1, {}), feats, y, p)
+
+
 def test_lp_error_examples():
     feats = rg.FeatureMatrix(np.ones((2, 1, 1)), 2, 0, np.ones(1))
     zero = LinearFunctional(2, 0, {})
