@@ -47,7 +47,13 @@ def _cmd_sig(args) -> int:
 
 def _cmd_run(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError:
+            raise
+        except (RecursionError, ValueError) as err:
+            # past the parser's nesting or integer-digit limit
+            raise ConfigError(f"config {args.config}: {err}") from None
     if args.seed is not None and isinstance(raw, dict):
         raw["seed"] = args.seed
     cfg = ExperimentConfig.from_dict(raw)

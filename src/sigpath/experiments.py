@@ -499,7 +499,9 @@ def _existing_reports(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             existing = json.load(fh)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
+            # malformed JSON (a ValueError too), or past the parser's
+            # nesting or integer-digit limit
             existing = None
     if not isinstance(existing, dict):
         raise ConfigError(f"refusing to append: {path} is not a JSON object")

@@ -273,7 +273,17 @@ def test_append_merges_fitted_functionals(tmp_path):
     assert all(merged[key] == integral[key] for key in set(integral) - set(alone))
 
 
-@pytest.mark.parametrize("stored", ["[1, 2]\n", "not json\n"], ids=["list", "not-json"])
+# past json's parser limits: a RecursionError and a ValueError, not a
+# JSONDecodeError
+DEEP_JSON = "[" * 100_000 + "]" * 100_000 + "\n"
+LONG_INT_JSON = '{"seed": ' + "1" * 5000 + "}\n"
+
+
+@pytest.mark.parametrize(
+    "stored",
+    ["[1, 2]\n", "not json\n", DEEP_JSON, LONG_INT_JSON],
+    ids=["list", "not-json", "deep-nesting", "long-int"],
+)
 def test_append_onto_a_non_object_functionals_file_exits_2(tmp_path, monkeypatch, stored):
     cfg = write_config(tmp_path, "exp.json", small_functional_config())
     out, side = tmp_path / "res.csv", tmp_path / "res.functionals.json"
@@ -429,7 +439,8 @@ def test_missing_config_file_exits_2(tmp_path):
 @pytest.mark.parametrize(
     "case",
     ["negative-level", "huge-level", "non-utf8-config", "non-utf8-input",
-     "dir-config", "dir-input", "dir-out", "default-level-too-wide"],
+     "dir-config", "dir-input", "dir-out", "default-level-too-wide",
+     "deep-config", "long-int-config"],
 )
 def test_bad_cli_input_exits_2(tmp_path, capsys, case):
     csv = tmp_path / "line.csv"
@@ -443,6 +454,10 @@ def test_bad_cli_input_exits_2(tmp_path, capsys, case):
     cfg = write_config(tmp_path, "exp.json", small_functional_config())
     binary = tmp_path / "latin1.txt"
     binary.write_bytes("t,x1\n0,\u00e9\n".encode("latin-1"))
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text(LONG_INT_JSON)
     argv = {
         "negative-level": ["sig", "--input", str(csv), "--level", "-1"],
         "huge-level": ["sig", "--input", str(csv), "--level", "40"],
@@ -452,8 +467,12 @@ def test_bad_cli_input_exits_2(tmp_path, capsys, case):
         "dir-input": ["sig", "--input", str(tmp_path)],
         "dir-out": ["run", "--config", cfg, "--out", str(tmp_path)],
         "default-level-too-wide": ["sig", "--input", str(wide)],
+        "deep-config": ["run", "--config", str(deep)],
+        "long-int-config": ["run", "--config", str(long_int)],
     }[case]
     assert main(argv) == 2
+    if case in ("deep-config", "long-int-config"):
+        assert capsys.readouterr().err.startswith("error: config ")
     if case == "default-level-too-wide":
         assert capsys.readouterr().err == (
             "error: the default level 3 exceeds 4096 signature coordinates;"

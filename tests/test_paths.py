@@ -1,6 +1,7 @@
 import concurrent.futures
 import io
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,10 +224,102 @@ def test_lag_scan_block_edges(n, dim):
     )
 
 
+# T = 1 makes every divisor of a lag one value (the root and the division
+# follow the maximum); T = 0.3 rounds the grid, so they stay per element
+@pytest.mark.parametrize("T", [1.0, 0.3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("alpha", [0.4, 1.0])
+def test_lag_scan_time_extended_matches_oracle_bitwise(T, d, alpha):
+    times = pth.dyadic_times(T, 4)
+    values = pth.time_extend_values(times, scan_values(d, (130,), times.size, d))
+    assert_same_bits(
+        pth.max_increment_ratio(times, values, alpha),
+        lag_scan_oracle(times, values, alpha),
+    )
+
+
+@pytest.mark.parametrize("T", [1.0, 0.3])
+def test_lag_scan_shared_middle_coordinate_keeps_the_order_of_addition(T):
+    times = pth.dyadic_times(T, 4)
+    values = scan_values(6, (130,), times.size, 3)
+    values[:, :, 1] = values[0, :, 1]
+    assert_same_bits(
+        pth.max_increment_ratio(times, values, 0.4),
+        lag_scan_oracle(times, values, 0.4),
+    )
+
+
+@pytest.mark.parametrize("T", [1.0, 0.3])
+@pytest.mark.parametrize("batch", [(), (5,)], ids=["one-path", "identical-paths"])
+def test_lag_scan_every_coordinate_shared(T, batch):
+    times = pth.dyadic_times(T, 4)
+    one = pth.time_extend_values(times, scan_values(7, (), times.size, 2))
+    values = np.broadcast_to(one, batch + one.shape)
+    want = lag_scan_oracle(times, values, 0.4)
+    assert_same_bits(pth.max_increment_ratio(times, values, 0.4), want)
+    assert np.all(want == want.flat[0])
+
+
+# divisors (t - s)^alpha of 0 (1e3), inf (-1e3) and NaN take the per-element
+# root and division; with no coordinates, a zero sum over a zero divisor is NaN
+@pytest.mark.parametrize("alpha", [1e3, -1e3, np.nan])
+@pytest.mark.parametrize("d", [0, 1])
+def test_lag_scan_degenerate_divisors_match_oracle_bitwise(alpha, d):
+    times = pth.dyadic_times(1.0, 4)
+    values = scan_values(8, (130,), times.size, d)
+    if d:
+        values = pth.time_extend_values(times, values)
+    with np.errstate(all="ignore"):
+        got = pth.max_increment_ratio(times, values, alpha)
+        want = lag_scan_oracle(times, values, alpha)
+    assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("T", [1.0, 0.3])
+def test_lag_scan_non_finite_values_and_signed_zeros_match_oracle_bitwise(T):
+    times = pth.dyadic_times(T, 4)
+    values = pth.time_extend_values(times, scan_values(9, (130,), times.size, 3))
+    values[5, 3, 1] = np.nan
+    values[7, 4, 3] = np.inf
+    values[8, 2, 3] = -np.inf
+    values[9, [6, 9], 3] = np.inf  # inf - inf is NaN
+    # coordinate 2 stays shared when its zeros differ in sign across paths
+    values[:, [5, 6], 2] = 0.0
+    values[::2, 5, 2] = -0.0
+    values[:, 6, 2] = -0.0
+    with np.errstate(invalid="ignore"):
+        got = pth.max_increment_ratio(times, values, 0.4)
+        want = lag_scan_oracle(times, values, 0.4)
+    assert np.isnan(want[[5, 9]]).all() and np.isinf(want[[7, 8]]).all()
+    assert np.isfinite(np.delete(want, [5, 7, 8, 9])).all()
+    assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("T", [1.0, 0.3])
+@pytest.mark.parametrize("shared_first", [True, False], ids=["shared-first", "shared-last"])
+def test_lag_scan_nan_bits_follow_the_operand_order(T, shared_first):
+    # inf - inf is a NaN with the sign bit set and np.nan has it clear; an
+    # addition of two NaNs returns its first operand.  On three points they
+    # meet in the pair (1, 2), last in its row, whose maximum keeps its bits.
+    times = pth.dyadic_times(T, 1)
+    values = scan_values(10, (3,), times.size, 2)
+    shared, varying = (0, 1) if shared_first else (1, 0)
+    values[:, :, shared] = [values[0, 0, shared], np.inf, np.inf]
+    values[1, 2, varying] = np.nan
+    with np.errstate(invalid="ignore"):
+        got = pth.max_increment_ratio(times, values, 0.4)
+        want = lag_scan_oracle(times, values, 0.4)
+    assert np.signbit(want[1]) == shared_first
+    assert_same_bits(got, want)
+
+
 def test_lag_scan_independent_of_blocking_and_workers(monkeypatch):
     times = SCAN_GRIDS["dyadic"]
     values = scan_values(3, (300,), times.size, 3)
-    want = lag_scan_oracle(times, values, 0.4)
+    extended = pth.time_extend_values(times, values)
+    wants = [
+        (vals, lag_scan_oracle(times, vals, 0.4)) for vals in (values, extended)
+    ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the workers as often as possible
     try:
@@ -234,7 +327,8 @@ def test_lag_scan_independent_of_blocking_and_workers(monkeypatch):
             for workers in (1, 2, 4):
                 monkeypatch.setattr(pth, "_HOLDER_BLOCK", block)
                 monkeypatch.setattr(pth, "_HOLDER_WORKERS", workers)
-                assert_same_bits(pth.max_increment_ratio(times, values, 0.4), want)
+                for vals, want in wants:
+                    assert_same_bits(pth.max_increment_ratio(times, vals, 0.4), want)
     finally:
         sys.setswitchinterval(interval)
 
@@ -265,6 +359,24 @@ def test_lag_scan_workers_keep_the_callers_errstate(monkeypatch):
             pth.max_increment_ratio(times, values, 0.4)
     with np.errstate(over="ignore"):
         assert np.isinf(pth.max_increment_ratio(times, values, 0.4)).all()
+
+
+def test_lag_scan_memory_on_the_holder_moments_shape(monkeypatch):
+    # 1000 time-extended paths at depth 8 on two workers: each worker holds
+    # one (block, G) copy of the varying coordinate and one (block, G - 1)
+    # sum, about 2.3 MiB in all.  The bound is the first-call peak of the
+    # scan that also copied the time coordinate per path and kept a second
+    # sum buffer (2.29 MiB once warm), so this scan may not grow past it.
+    monkeypatch.setattr(pth, "_HOLDER_WORKERS", 2)
+    times = pth.dyadic_times(1.0, 8)
+    values = pth.time_extend_values(times, scan_values(10, (1000,), times.size, 1))
+    tracemalloc.start()
+    try:
+        pth.max_increment_ratio(times, values, 0.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.87 * 2**20
 
 
 @pytest.mark.parametrize(
