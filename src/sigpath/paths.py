@@ -2,10 +2,11 @@
 
 Covers construction and evaluation, time extension, breakpoint insertion,
 the exact alpha-Hoelder norm, the exponential weight built from it, and a
-small CSV interchange format.  The norm's breakpoint lag scan keeps a
-coordinate that every path shares (time) as one row, and takes the root
-and the division after the maximum wherever a lag's divisors are one value,
-with the bits of the plain per-lag formula.
+small CSV interchange format.  The norm's breakpoint lag scan keeps the
+leading coordinates that every path shares (time) as rows and the others as
+columns, starts every sum from zero as the plain per-lag formula does, and
+takes the root and the division after the maximum wherever a lag's divisors
+are one value, with the formula's bits.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class PiecewiseLinearPath:
     def eval(self, t):
         """Value at time(s) t in [0, T]; exact at breakpoints."""
         t_arr = np.asarray(t, dtype=float)
-        if (t_arr < 0.0).any() or (t_arr > self.T).any():
+        if not ((0.0 <= t_arr) & (t_arr <= self.T)).all():  # NaN fails too
             raise ValueError(f"time outside [0, {self.T}]")
         idx = np.searchsorted(self.times, t_arr, side="right") - 1
         idx = np.clip(idx, 0, self.n_segments - 1)
@@ -145,14 +146,17 @@ def insert_breakpoint(path: PiecewiseLinearPath, t: float) -> PiecewiseLinearPat
 def _scan_block(times, block, alpha, best):
     """Lag scan of one block (n, G, D) of paths into its slice `best` (n,).
 
-    Each lag squares the coordinate increments and adds them in coordinate
-    order, in place.  A coordinate equal on every path of the block (time,
-    after time extension) is one (G,) row: its increments are squared once
-    per lag as a (width,) row and added by broadcasting, in the same operand
-    order.  Equal values give equal increments up to the sign of a zero,
-    which the square removes, so the sums keep their bits (where two NaNs
-    meet, numpy's loop layout picks whose sign bit the sum carries).  A path
-    with no coordinates has the sum 0, so its norm is 0.
+    The leading coordinates that are equal on every path of the block (time,
+    after time extension) are (G,) rows; every other coordinate is an (n, G)
+    contiguous copy.  Each lag starts the sum from zeros, as the formula
+    does, and adds the squared increments in coordinate order: the rows'
+    as (width,) rows, then each column's, squared into one of two reused
+    buffers.  The first column takes the running sum by broadcasting into
+    its own buffer, the later ones add in place.  Equal values give equal
+    increments up to the sign of a zero, which the square removes, and
+    0 + x == x for every square, so the sums keep the formula's bits (where
+    two NaNs meet, numpy's loop layout picks whose sign bit the sum
+    carries).  A path with no coordinates has the sum 0, so its norm is 0.
 
     When all of a lag's divisors (t_{i+lag} - t_i)^alpha are one value c
     with 0 < c < inf (every lag of dyadic_times(T, depth) when T is a power
@@ -162,43 +166,27 @@ def _scan_block(times, block, alpha, best):
     element by element.
     """
     n, n_grid, dim = block.shape
-    shared = [bool((block[:, :, k] == block[:1, :, k]).all()) for k in range(dim)]
-    coords = [
-        block[0, :, k].copy() if same else np.ascontiguousarray(block[:, :, k])
-        for k, same in enumerate(shared)
-    ]
-    n_varying = shared.count(False)
-    acc_buf = np.empty(n * (n_grid - 1)) if n_varying else None
-    tmp_buf = np.empty_like(acc_buf) if n_varying > 1 else None
+    n_rows = 0
+    while n_rows < dim and (block[:, :, n_rows] == block[:1, :, n_rows]).all():
+        n_rows += 1
+    rows = [block[0, :, k].copy() for k in range(n_rows)]
+    cols = [np.ascontiguousarray(block[:, :, k]) for k in range(n_rows, dim)]
+    bufs = [np.empty(n * (n_grid - 1)) for _ in cols[:2]]
     for lag in range(1, n_grid):
         width = n_grid - lag
-        acc = None  # (n, width) sum, from the first varying coordinate on
-        head = None  # (width,) sum of the shared coordinates before it
-        for same, coord in zip(shared, coords):
-            if same:
-                sq = coord[lag:] - coord[:width]
-            else:
-                sq = (tmp_buf if acc is not None else acc_buf)[: n * width]
-                sq = sq.reshape(n, width)
-                np.subtract(coord[:, lag:], coord[:, :width], out=sq)
+        acc = np.zeros(width)
+        for row in rows:
+            inc = row[lag:] - row[:width]
+            np.add(acc, inc * inc, out=acc)
+        for k, col in enumerate(cols):
+            sq = bufs[min(k, 1)][: n * width].reshape(n, width)
+            np.subtract(col[:, lag:], col[:, :width], out=sq)
             np.multiply(sq, sq, out=sq)
-            if acc is not None:
-                np.add(acc, sq, out=acc)
-            elif not same:
-                acc = sq
-                if head is not None:
-                    np.add(head, acc, out=acc)
-            elif head is None:
-                head = sq
-            else:
-                np.add(head, sq, out=head)
-        if acc is None:  # no coordinate varies: one row serves every path
-            acc = np.zeros(width) if head is None else head
+            acc = np.add(acc, sq, out=acc if k else sq)
         divisor = (times[lag:] - times[:width]) ** alpha
         c = divisor[0]
         if 0.0 < c < math.inf and (divisor == c).all():
-            top = np.max(acc, axis=-1)
-            np.maximum(best, np.sqrt(top) / c, out=best)
+            np.maximum(best, np.sqrt(np.max(acc, axis=-1)) / c, out=best)
         else:
             np.sqrt(acc, out=acc)
             np.divide(acc, divisor, out=acc)
@@ -213,9 +201,9 @@ def max_increment_ratio(times: np.ndarray, values: np.ndarray, alpha: float):
     of _HOLDER_BLOCK paths spread over _HOLDER_WORKERS threads; each block
     owns its slice of the result and max is exact, so the bits depend on
     neither the blocking nor the scheduling.  For time-extended paths with
-    one more coordinate on a dyadic grid over a power-of-two T, a lag makes
-    four passes over a block: subtract, multiply, add the time row, max (see
-    `_scan_block`).  Under np.errstate(under="raise"), an underflow in a
+    one more coordinate on a dyadic grid over a power-of-two T, time leads,
+    so it is one row, and a lag makes four passes over a block: subtract,
+    multiply, add the time row, max (see `_scan_block`).  Under np.errstate(under="raise"), an underflow in a
     ratio that is not its path's maximum at that lag goes unreported.
     """
     times = np.asarray(times, dtype=float)

@@ -390,6 +390,20 @@ def exact_ridge_oracle(X_tr, y_tr, lam):
     return np.array([float(b) for b in beta])
 
 
+def taylor_functional(a, b, y0, level):
+    """Dense level-major coefficients, over the words of the time-extended
+    one-dimensional path, of the level-`level` Taylor functional of
+    y0 exp(a t + b W): the coefficient of word w is y0 times a per letter 0
+    (time) and b per letter 1.  Contracted with the signature up to t it
+    gives y0 * sum_{n <= level} Z^n / n! with Z = a t + b W_t, since the
+    signature of the path a t + b W is the tensor exponential of Z."""
+    from sigpath.tensor import all_words
+
+    return np.array(
+        [y0 * float(np.prod([(a, b)[letter] for letter in w])) for w in all_words(2, level)]
+    )
+
+
 def series_product_1d(a, b):
     """Truncated product of two dim-1 tensors as polynomial convolution."""
     n = len(a)

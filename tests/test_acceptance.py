@@ -203,7 +203,6 @@ def test_criterion_6_interpolated_signature_convergence():
     report(6, "interpolated-signature convergence", started, 600.0)
 
 
-@pytest.mark.slow
 def test_criterion_7_exponential_moment_stability():
     started = time.perf_counter()
     cfg = ExperimentConfig.from_dict(

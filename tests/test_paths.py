@@ -36,6 +36,10 @@ def test_eval_examples():
         vee.eval(2.5)
     with pytest.raises(ValueError):
         vee.eval(-0.1)
+    with pytest.raises(ValueError, match="time outside"):
+        vee.eval(np.nan)
+    with pytest.raises(ValueError, match="time outside"):
+        vee.eval([0.5, np.nan])
 
 
 def test_partition_validation():
@@ -213,15 +217,30 @@ def test_lag_scan_matches_oracle_bitwise(batch, grid, dim, alpha, seed):
     )
 
 
-@pytest.mark.parametrize("n", [127, 128, 129, 300])
+BLOCK = pth._HOLDER_BLOCK
+
+
+# one block less a path, one block, one path more, two blocks and a part;
+# 127-129 and 300 add sizes inside one block and across one edge
+@pytest.mark.parametrize(
+    "n", sorted({127, 128, 129, 300, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 44})
+)
 @pytest.mark.parametrize("dim", [2, 3])
 def test_lag_scan_block_edges(n, dim):
     times = SCAN_GRIDS["non-dyadic"]
     values = scan_values(n, (n,), times.size, dim)
-    assert_same_bits(
-        pth.max_increment_ratio(times, values, 0.4),
-        lag_scan_oracle(times, values, 0.4),
-    )
+    cases = [values]
+    if n > BLOCK:
+        # coordinate 0 equal on the first block's paths only: that block
+        # leads with one row (two after time), the others with none (one)
+        lead = values.copy()
+        lead[:BLOCK, :, 0] = lead[0, :, 0]
+        cases += [lead, pth.time_extend_values(times, lead)]
+    for vals in cases:
+        assert_same_bits(
+            pth.max_increment_ratio(times, vals, 0.4),
+            lag_scan_oracle(times, vals, 0.4),
+        )
 
 
 # T = 1 makes every divisor of a lag one value (the root and the division
@@ -232,10 +251,14 @@ def test_lag_scan_block_edges(n, dim):
 def test_lag_scan_time_extended_matches_oracle_bitwise(T, d, alpha):
     times = pth.dyadic_times(T, 4)
     values = pth.time_extend_values(times, scan_values(d, (130,), times.size, d))
-    assert_same_bits(
-        pth.max_increment_ratio(times, values, alpha),
-        lag_scan_oracle(times, values, alpha),
-    )
+    # two leading rows: time, then a coordinate equal on every path
+    shared = np.broadcast_to(scan_values(d + 10, (), times.size, 1), (130, times.size, 1))
+    two_rows = np.concatenate([values[..., :1], shared, values[..., 1:]], axis=-1)
+    for vals in (values, two_rows):
+        assert_same_bits(
+            pth.max_increment_ratio(times, vals, alpha),
+            lag_scan_oracle(times, vals, alpha),
+        )
 
 
 @pytest.mark.parametrize("T", [1.0, 0.3])

@@ -1,17 +1,24 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sigpath.experiments as ex
 import sigpath.regress as rg
 from sigpath.paths import PiecewiseLinearPath, dyadic_times, time_extend
 from sigpath.signature import LinearFunctional, signature, signature_stream
 from sigpath.stochastic import _split_permutation, sample_brownian_batch
 from sigpath.tensor import total_entries
 from sigpath.tensor import all_words
-from helpers_oracle import exact_ridge_oracle, lstsq_oracle, ridge_oracle
+from helpers_oracle import (
+    exact_ridge_oracle,
+    lstsq_oracle,
+    ridge_oracle,
+    taylor_functional,
+)
 
 
 def brownian_features(seed, n, depth, level, mode="terminal"):
@@ -354,3 +361,89 @@ def test_min_norm_fit_keeps_the_oracle_cutoff(ratio):
     assert report.rank_deficient == (ratio < 1e-10) == (rank < matrix.shape[1])
     got = report.functional.coefficient_vector()
     assert np.array_equal(got.view(np.uint64), beta.view(np.uint64))
+
+
+# -- Taylor certificate: the ode and sde fits against y0 exp(a t + b W) -------
+
+TAYLOR_RUNS = {
+    "sde": {"kind": "sde", "a": 0.5, "b": 1.0},
+    "ode-linear": {"kind": "ode", "field": "linear", "a": 0.0, "b": 0.5},
+}
+
+
+def regression_fits(monkeypatch, config):
+    """Run run_regression on `config` at depth 6 with 500 paths, levels 1-4;
+    returns the config and the (features, targets, report) of each fit."""
+    calls = []
+
+    def spy(features, targets, **kwargs):
+        report = rg.fit(features, targets, **kwargs)
+        calls.append((features, np.asarray(targets), report))
+        return report
+
+    monkeypatch.setattr(ex, "fit", spy)
+    cfg = ex.ExperimentConfig.from_dict(
+        {"seed": 1, "depths": [6], "levels": [1, 2, 3, 4], "n_samples": 500, **config}
+    )
+    ex.run_regression(cfg)
+    assert [report.functional.level for _, _, report in calls] == list(cfg.levels)
+    return cfg, calls
+
+
+@pytest.mark.parametrize("run", sorted(TAYLOR_RUNS))
+def test_taylor_functional_contracts_the_stopped_table_to_the_series(monkeypatch, run):
+    cfg, calls = regression_fits(monkeypatch, TAYLOR_RUNS[run])
+    table = calls[0][0].table
+    times = dyadic_times(cfg.T, 6)
+    w = sample_brownian_batch(cfg.seed, np.arange(cfg.n_samples), 1, cfg.T, 6)[..., 0]
+    assert table.shape[:2] == w.shape  # no path excluded
+    z = cfg.a * times + cfg.b * w
+    # Z of the path with absolute increments, |a| t + |b| * variation of W:
+    # its series bounds the sum of the absolute values of every term summed,
+    # on either side of the identity
+    variation = np.cumsum(np.abs(np.diff(w, axis=1)), axis=1)
+    z_abs = abs(cfg.a) * times + abs(cfg.b) * np.pad(variation, ((0, 0), (1, 0)))
+    n_grid = times.size
+    for level in cfg.levels:
+        coeffs = taylor_functional(cfg.a, cfg.b, cfg.y0, level)
+        got = table[..., : coeffs.size] @ coeffs
+        want, term = np.zeros_like(z), np.ones_like(z)
+        scale, term_abs = np.zeros_like(z), np.ones_like(z)
+        for n in range(level + 1):
+            want += term
+            scale += term_abs
+            term = term * z / (n + 1)
+            term_abs = term_abs * z_abs / (n + 1)
+        want *= cfg.y0
+        scale *= abs(cfg.y0)
+        # Roundings per summed term, at most: a signature entry of length
+        # n <= level has n increments, n divisions, 2n products and n nested
+        # sums of n_grid - 1 prefix and n + 1 Chen terms, n (n_grid + n + 4);
+        # its coefficient takes level products and the contraction
+        # coeffs.size; the series 5 level (Z, then a product and a division
+        # and a sum per order).
+        m = level * (n_grid + level + 10) + coeffs.size
+        u = 2.0**-53
+        assert (np.abs(got - want) <= m * u / (1 - m * u) * scale).all(), level
+
+
+@pytest.mark.parametrize("run", sorted(TAYLOR_RUNS))
+@pytest.mark.parametrize("lam", [0.0, None], ids=["lam-0", "default-ridge"])
+def test_fit_objective_at_most_the_taylor_functionals(monkeypatch, run, lam):
+    # the fit minimizes RSS + lam |beta|^2 over the training rows, unweighted
+    # (the trapezoid weights only enter the reported errors), so no other
+    # functional of the same level does better on it
+    config = TAYLOR_RUNS[run] if lam is None else {**TAYLOR_RUNS[run], "lam": lam}
+    cfg, calls = regression_fits(monkeypatch, config)
+    for feats, y, report in calls:
+        assert (report.lam > 0.0) == (lam is None)
+        train = _train_rows(feats, cfg.seed)
+        coeffs = taylor_functional(cfg.a, cfg.b, cfg.y0, report.functional.level)
+        X, y_tr = feats.matrix[train, : coeffs.size], y.ravel()[train]
+
+        def objective(beta):
+            r = y_tr - X @ beta
+            return r @ r + report.lam * (beta @ beta)
+
+        fitted = objective(report.functional.coefficient_vector())
+        assert fitted <= objective(coeffs), report.functional.level
