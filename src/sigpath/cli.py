@@ -46,7 +46,7 @@ def _cmd_sig(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
+    with open(args.config, "r", encoding="utf-8-sig") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError:

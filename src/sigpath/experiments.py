@@ -269,9 +269,8 @@ def _regression_target(cfg, times, values):
         field = VECTOR_FIELDS[cfg.field](cfg.a, cfg.b)
         y_table, blown = solve_ode_batch(times, values, field, cfg.y0, cfg.substeps)
         n_excluded = int(blown.sum())
-        if n_excluded:
-            values = values[~blown]
-            y_table = y_table[~blown]
+        values = values[~blown]
+        y_table = y_table[~blown]
         return cfg.field, "stopped", values, y_table, n_excluded
     y = sde_exact_gbm(times, values, cfg.a, cfg.b, cfg.y0)
     return "gbm", "stopped", values, y, 0
@@ -471,7 +470,7 @@ def write_rows(path, rows, append=False):
     """Write (or append) `rows`, dicts whose key order is the CSV header."""
     header = ",".join(rows[0])
     lines = [",".join(_format_cell(v) for v in row.values()) for row in rows]
-    append = append and os.path.exists(path)
+    append = append and os.path.exists(path) and os.path.getsize(path) > 0
     with open(path, "a+" if append else "w", encoding="utf-8") as fh:
         if append:
             fh.seek(0)
@@ -493,8 +492,8 @@ def _reports_path(csv_path: str) -> str:
 
 def _existing_reports(path: str) -> dict:
     """The fitted functionals already stored at `path` ({} if none), which
-    an appending run extends."""
-    if not os.path.exists(path):
+    an appending run extends; an empty file holds none."""
+    if not os.path.exists(path) or os.path.getsize(path) == 0:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         try:

@@ -112,8 +112,7 @@ class PiecewiseLinearPath:
             self.values[idx + 1] - self.values[idx]
         )
         at_right = t_arr == t1
-        if at_right.any():
-            out = np.where(at_right[..., None], self.values[idx + 1], out)
+        out = np.where(at_right[..., None], self.values[idx + 1], out)
         if t_arr.ndim == 0:
             return out.reshape(self.dim)
         return out
@@ -198,13 +197,15 @@ def max_increment_ratio(times: np.ndarray, values: np.ndarray, alpha: float):
 
     `values` may carry a batch prefix: shape (..., G, dim).  The scan runs
     over index lags so the pairwise matrix is never materialised, in blocks
-    of _HOLDER_BLOCK paths spread over _HOLDER_WORKERS threads; each block
-    owns its slice of the result and max is exact, so the bits depend on
-    neither the blocking nor the scheduling.  For time-extended paths with
-    one more coordinate on a dyadic grid over a power-of-two T, time leads,
-    so it is one row, and a lag makes four passes over a block: subtract,
-    multiply, add the time row, max (see `_scan_block`).  Under np.errstate(under="raise"), an underflow in a
-    ratio that is not its path's maximum at that lag goes unreported.
+    of _HOLDER_BLOCK paths on _HOLDER_WORKERS threads, a single path too,
+    each in a copy of the caller's context so np.errstate reaches it; each
+    block owns its slice of the result and max is exact, so the bits depend
+    on neither the blocking nor the scheduling.  For time-extended paths
+    with one more coordinate on a dyadic grid over a power-of-two T, time
+    leads, so it is one row, and a lag makes four passes over a block:
+    subtract, multiply, add the time row, max (see `_scan_block`).  Under
+    np.errstate(under="raise"), an underflow in a ratio that is not its
+    path's maximum at that lag goes unreported.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -217,23 +218,16 @@ def max_increment_ratio(times: np.ndarray, values: np.ndarray, alpha: float):
         stop = start + _HOLDER_BLOCK
         _scan_block(times, flat[start:stop], alpha, best[start:stop])
 
-    starts = range(0, flat.shape[0], _HOLDER_BLOCK)
-    if len(starts) > 1 and _HOLDER_WORKERS > 1:
-        # imported here so that runs without a batched scan load no thread pool
-        from concurrent.futures import ThreadPoolExecutor
+    # imported here so that runs without a lag scan load no thread pool
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(_HOLDER_WORKERS) as pool:
-            # each task runs in a copy of the caller's context, so np.errstate
-            # reaches the workers
-            tasks = [
-                pool.submit(contextvars.copy_context().run, scan, start)
-                for start in starts
-            ]
-            for task in tasks:
-                task.result()
-    else:
-        for start in starts:
-            scan(start)
+    with ThreadPoolExecutor(_HOLDER_WORKERS) as pool:
+        tasks = [
+            pool.submit(contextvars.copy_context().run, scan, start)
+            for start in range(0, flat.shape[0], _HOLDER_BLOCK)
+        ]
+        for task in tasks:
+            task.result()
     # [()] makes the result for a single path a numpy scalar
     return best.reshape(values.shape[:-2])[()]
 
@@ -268,10 +262,11 @@ def weight(
 def read_path_csv(source) -> PiecewiseLinearPath:
     """Parse the `t,x1,...,xd` breakpoint format."""
     if hasattr(source, "read"):
-        lines = source.read().splitlines()
+        text = source.read()
     else:
         with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
+    lines = text.removeprefix("\ufeff").splitlines()  # drop a byte-order mark
     rows = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]
     if not rows:
         raise PathFormatError("line 1: empty file")

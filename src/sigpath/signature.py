@@ -138,7 +138,7 @@ def word_streams(times: np.ndarray, values: np.ndarray, words, eval_idx=None) ->
             rows = slice(*np.searchsorted(eval_idx, [s0 + 1, s1 + 1]))
             _chunk_word_streams(
                 times[s0 : s1 + 1], flat[block, s0 : s1 + 1], steps, columns,
-                eval_idx[rows] - s0, out[block, rows], carry, last=s1 == n_seg,
+                eval_idx[rows] - s0, out[block, rows], carry,
             )
     return out.reshape(batch + out.shape[1:])
 
@@ -179,12 +179,12 @@ def _word_plan(words, m):
     return steps, columns, live
 
 
-def _chunk_word_streams(times, values, steps, columns, local, out, carry, last):
+def _chunk_word_streams(times, values, steps, columns, local, out, carry):
     """One chunk of one block of word_streams: streams every planned word
-    over the segments between `times`, from the values in `carry` (updated
-    unless this is the `last` chunk), writing the breakpoints `local` of each
-    requested word into its columns of `out`.  Its arrays die on return, so
-    they never overlap the next chunk's."""
+    over the segments between `times`, from the values in `carry`, which it
+    replaces by each stream's last value, writing the breakpoints `local` of
+    each requested word into its columns of `out`.  Its arrays die on
+    return, so they never overlap the next chunk's."""
     n_paths, n_pts = values.shape[0], values.shape[1]
     # letter 0 steps by the time gaps, one row broadcast over the block
     dx = [np.diff(times)]
@@ -205,8 +205,7 @@ def _chunk_word_streams(times, values, steps, columns, local, out, carry, last):
             arr[:, 1:] = step
             # sequential: arr[k+1] = arr[k] + step[k]
             np.add.accumulate(arr, axis=1, out=arr)
-            if not last:
-                carry[word] = arr[:, -1].copy()
+            carry[word] = arr[:, -1].copy()
             for i in columns.get(word, ()):
                 out[:, :, i] = arr[:, local]
             arr = arr[:, :-1]  # S^v is read at the segment starts

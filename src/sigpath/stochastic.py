@@ -198,9 +198,10 @@ def solve_ode_batch(times, raw_values, field, y0: float, substeps: int):
     : a (drift, diffusion) pair of VECTOR_FIELDS.  On each segment the driver
     has the constant slope v, giving dY = (drift(Y) + diffusion(Y) v) dt.
 
-    Returns (Y, blown) where Y is (..., K) and `blown` flags paths that left
-    the finite range (their trailing values are frozen at the last finite
-    state).
+    Returns (Y, blown) where Y is (..., K) and `blown` flags the paths whose
+    final state is not finite: the RK4 update keeps a non-finite state
+    non-finite for any field, so these left the finite range at some step,
+    and their rows of Y are non-finite from there on.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
@@ -210,7 +211,6 @@ def solve_ode_batch(times, raw_values, field, y0: float, substeps: int):
     y = np.full(raw.shape[:-1], float(y0))
     out = np.empty(raw.shape)
     out[..., 0] = y
-    blown = np.zeros(y.shape, dtype=bool)
 
     def rhs(state):  # reads the current segment's slope
         return drift(state) + diffusion(state) * slope
@@ -224,12 +224,9 @@ def solve_ode_batch(times, raw_values, field, y0: float, substeps: int):
             k2 = rhs(y + 0.5 * h * k1)
             k3 = rhs(y + 0.5 * h * k2)
             k4 = rhs(y + h * k3)
-            y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            bad = ~np.isfinite(y_new)
-            y = np.where(bad, y, y_new)
-            blown |= bad
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[..., k + 1] = y
-    return out, blown
+    return out, ~np.isfinite(y)
 
 
 def sde_exact_gbm(times, values, a: float, b: float, y0: float) -> np.ndarray:

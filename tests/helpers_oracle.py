@@ -11,10 +11,13 @@ levy rows oracle is the exception: it runs the library's sampler and streams
 over each chunk whole, to check the runner's slicing rather than the
 kernels, but snaps its reference to the nearest fine breakpoints itself.
 The levy mean square oracle is exact: each error is expanded by hand as a
-quadratic form in the standardized Gaussian increments.
+quadratic form in the standardized Gaussian increments.  The population
+Gram of terminal features is exact too; it reads the library's word order,
+Chen product and shuffles, which the tests above check on their own.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -402,6 +405,49 @@ def taylor_functional(a, b, y0, level):
     return np.array(
         [y0 * float(np.prod([(a, b)[letter] for letter in w])) for w in all_words(2, level)]
     )
+
+
+def expected_terminal_signature(d, T, depth, level):
+    """E[S_{0,T}] of the time-extended depth-`depth` dyadic interpolation of
+    d-dimensional Brownian motion, a level-major row over R^(d + 1).
+
+    The 2**depth segments are i.i.d. with increment (h, sqrt(h) Z), so by
+    Chen's identity the expectation is the 2**depth-th Chen power of
+    E[exp(increment)], whose coordinate on word w is
+    h^{#0} prod_{l >= 1} E[(sqrt(h) Z)^{#l}] / |w|!, with the Gaussian
+    moments E[Z^k] = (k - 1)!! for even k and 0 for odd k."""
+    from sigpath.tensor import all_words, mul, word_index
+
+    m, h = d + 1, T / 2**depth
+    words = all_words(m, level)
+    segment = np.zeros(len(words))
+    for w in words:
+        coef = h ** w.count(0) / math.factorial(len(w))
+        for letter in range(1, m):
+            k = w.count(letter)
+            coef *= 0.0 if k % 2 else h ** (k // 2) * math.prod(range(k - 1, 0, -2))
+        segment[word_index(w, m)] = coef
+    out = segment
+    for _ in range(depth):
+        out = mul(out, out, m)
+    return out
+
+
+def population_gram(d, T, depth, level):
+    """E[S^u S^v] over the words u, v of length <= level of the terminal
+    signature above, level-major: the shuffle identity S^u S^v = S^(u sh v)
+    reads it off the expected signature at level 2 * level."""
+    from sigpath.tensor import all_words, shuffle, word_index
+
+    m = d + 1
+    expected = expected_terminal_signature(d, T, depth, 2 * level)
+    words = all_words(m, level)
+    gram = np.empty((len(words), len(words)))
+    for i, u in enumerate(words):
+        for j, v in enumerate(words[: i + 1]):
+            moment = sum(c * expected[word_index(w, m)] for w, c in shuffle(u, v).items())
+            gram[i, j] = gram[j, i] = moment
+    return gram
 
 
 def series_product_1d(a, b):

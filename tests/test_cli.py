@@ -273,6 +273,52 @@ def test_append_merges_fitted_functionals(tmp_path):
     assert all(merged[key] == integral[key] for key in set(integral) - set(alone))
 
 
+@pytest.mark.parametrize(
+    "payload, empty",
+    [
+        ({"kind": "moments", "depths": [2], "n_samples": 10}, ["res.csv"]),
+        (small_functional_config(), ["res.functionals.json"]),
+        (small_functional_config(), ["res.csv", "res.functionals.json"]),
+    ],
+    ids=["moments-csv", "functional-json", "functional-both"],
+)
+def test_append_onto_empty_files_writes_a_fresh_run(tmp_path, payload, empty):
+    # an empty existing file is treated as absent
+    cfg = write_config(tmp_path, "exp.json", payload)
+    fresh, out = tmp_path / "fresh", tmp_path / "appended"
+    fresh.mkdir()
+    out.mkdir()
+    assert main(["run", "--config", cfg, "--out", str(fresh / "res.csv")]) == 0
+    for name in empty:
+        (out / name).write_bytes(b"")
+    argv = ["run", "--config", cfg, "--out", str(out / "res.csv"), "--append"]
+    assert main(argv) == 0
+    names = sorted(p.name for p in fresh.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_byte_order_marks_in_inputs_are_ignored(tmp_path, capsys):
+    # spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark
+    stdout, outputs = [], []
+    for encoding in ("utf-8", "utf-8-sig"):
+        run_dir = tmp_path / encoding
+        run_dir.mkdir()
+        csv = run_dir / "path.csv"
+        csv.write_text(sig_pin_csv(2), encoding=encoding)
+        assert main(["sig", "--input", str(csv), "--level", "3"]) == 0
+        cfg = run_dir / "exp.json"
+        cfg.write_text(json.dumps(small_functional_config()), encoding=encoding)
+        assert main(["run", "--config", str(cfg), "--out", str(run_dir / "res.csv")]) == 0
+        stdout.append(capsys.readouterr().out.replace(str(run_dir), ""))
+        outputs.append(
+            [(run_dir / n).read_bytes() for n in ("res.csv", "res.functionals.json")]
+        )
+    assert (tmp_path / "utf-8-sig" / "path.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert stdout[0] == stdout[1] and outputs[0] == outputs[1]
+
+
 # past json's parser limits: a RecursionError and a ValueError, not a
 # JSONDecodeError
 DEEP_JSON = "[" * 100_000 + "]" * 100_000 + "\n"

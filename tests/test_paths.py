@@ -1,4 +1,3 @@
-import concurrent.futures
 import io
 import sys
 import tracemalloc
@@ -356,32 +355,17 @@ def test_lag_scan_independent_of_blocking_and_workers(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def test_lag_scan_single_path_runs_inline(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("single-path scan built a thread pool")
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setattr(pth, "_HOLDER_WORKERS", 2)
-    times = SCAN_GRIDS["non-dyadic"]
-    values = scan_values(4, (), times.size, 2)
-    assert_same_bits(
-        pth.max_increment_ratio(times, values, 0.4),
-        lag_scan_oracle(times, values, 0.4),
-    )
-    path = pth.PiecewiseLinearPath(times, values)
-    assert pth.holder_norm(path, 0.4) > 0.0
-    assert pth.weight(path, 0.4, beta=0.01) > 1.0
-
-
 def test_lag_scan_workers_keep_the_callers_errstate(monkeypatch):
     monkeypatch.setattr(pth, "_HOLDER_WORKERS", 2)
     times = SCAN_GRIDS["dyadic"]
-    values = scan_values(5, (300,), times.size, 2) * 1e200
-    with np.errstate(over="raise"):
-        with pytest.raises(FloatingPointError):
-            pth.max_increment_ratio(times, values, 0.4)
-    with np.errstate(over="ignore"):
-        assert np.isinf(pth.max_increment_ratio(times, values, 0.4)).all()
+    # many blocks, and one path alone, which runs on the pool too
+    for batch in ((300,), ()):
+        values = scan_values(5, batch, times.size, 2) * 1e200
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                pth.max_increment_ratio(times, values, 0.4)
+        with np.errstate(over="ignore"):
+            assert np.isinf(pth.max_increment_ratio(times, values, 0.4)).all()
 
 
 def test_lag_scan_memory_on_the_holder_moments_shape(monkeypatch):
@@ -465,6 +449,16 @@ def test_csv_round_trip_and_precision():
     back = pth.read_path_csv(io.StringIO(text))
     assert np.array_equal(back.times, path.times)
     assert np.array_equal(back.values, path.values)
+
+
+def test_csv_stream_byte_order_mark_is_dropped():
+    # a text stream of a spreadsheet "CSV UTF-8" export starts with U+FEFF
+    # (tests/test_cli.py reads such a file through `sigpath sig`)
+    text = "t,x1,x2\n0,0,1\n0.5,2,-1\n1.5,0.25,3\n"
+    plain = pth.read_path_csv(io.StringIO(text))
+    marked = pth.read_path_csv(io.StringIO("\ufeff" + text))
+    assert np.array_equal(marked.times, plain.times)
+    assert np.array_equal(marked.values, plain.values)
 
 
 def test_csv_errors_carry_line_numbers(tmp_path):

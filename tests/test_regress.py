@@ -16,6 +16,7 @@ from sigpath.tensor import all_words
 from helpers_oracle import (
     exact_ridge_oracle,
     lstsq_oracle,
+    population_gram,
     ridge_oracle,
     taylor_functional,
 )
@@ -119,6 +120,33 @@ def test_rank_deficiency_flagged_at_terminal_mode():
     report = rg.fit(feats, y, lam=0.0)
     assert report.rank_deficient
     assert report.gram_eig_min <= 1e-8 * report.gram_eig_max
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_population_gram_of_terminal_features_loses_the_time_shuffles(d):
+    # S^u T = S^(u sh 0) on every path, one linear relation per word u of
+    # length < N, and no other: the Gram of the depth-3 interpolation over
+    # T = 1 has exactly total_entries(d + 1, N - 1) zero eigenvalues, so its
+    # rank is (d + 1)^N.  Measured: the zeros at or below 1.6e-16 of the top
+    # one, the others at or above 4.7e-5.
+    for level in (1, 2, 3, 4):
+        eig = np.abs(np.linalg.eigvalsh(population_gram(d, 1.0, 3, level)))
+        n_zero = total_entries(d + 1, level - 1)
+        assert (eig <= 1e-12 * eig.max()).sum() == n_zero
+        assert np.sort(eig)[n_zero] >= 1e-6 * eig.max()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_minimum_norm_terminal_fits_are_rank_deficient_at_every_level(d):
+    # the population Gram's null space above holds on every sample
+    cfg = ex.ExperimentConfig.from_dict(
+        {
+            "kind": "functional", "d": d, "target": "terminal-square", "depths": [4],
+            "levels": [1, 2, 3, 4], "n_samples": 200, "lam": 0.0,
+        }
+    )
+    rows, _ = ex.run_regression(cfg)
+    assert [row["rank_deficient"] for row in rows] == [True] * 4
 
 
 def test_train_error_non_increasing_in_level():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -84,6 +85,31 @@ def test_disjoint_increments_nearly_uncorrelated():
     assert abs(np.corrcoef(first, second)[0, 1]) <= 4.0 / np.sqrt(n)
 
 
+def test_endpoints_pass_a_kolmogorov_smirnov_check():
+    # 2**20 depth-0 endpoints against the N(0, 1) CDF; sqrt(n) D has the
+    # Kolmogorov limit law, whose critical value at alpha = 0.001 is 1.95
+    n = 2**20
+    x = np.sort(sto.sample_brownian_batch(12345, np.arange(n), 1, 1.0, 0)[:, -1, 0])
+    cdf = 0.5 * (1.0 + np.array([math.erf(v) for v in x / math.sqrt(2.0)]))
+    rank = np.arange(1, n + 1)
+    d_stat = max((rank / n - cdf).max(), (cdf - (rank - 1) / n).max())
+    assert math.sqrt(n) * d_stat <= 1.95
+
+
+def test_lattice_increments_are_uncorrelated_with_unit_variance():
+    # standardized increments of a depth-10 lattice: neighbours along a path
+    # and the two coordinates of one step are uncorrelated, and each has
+    # variance 1, each within 5 standard errors
+    depth = 10
+    w = sto.sample_brownian_batch(7, np.arange(1024), 2, 1.0, depth)
+    z = np.diff(w, axis=1) * math.sqrt(2.0**depth)
+    lag_1 = z[:, :-1] * z[:, 1:]
+    cross = z[..., 0] * z[..., 1]
+    for products in (lag_1, cross):
+        assert abs(products.mean()) <= 5.0 / math.sqrt(products.size)
+    assert abs((z * z).mean() - 1.0) <= 5.0 * math.sqrt(2.0 / z.size)
+
+
 def test_uint64_wrap_around_needs_no_errstate():
     # the key hashing wraps modulo 2**64 at the largest seed and sample index;
     # as array arithmetic it raises nothing even when every check is "raise"
@@ -143,7 +169,8 @@ def test_ode_blowup_is_reported():
     with np.errstate(over="ignore", invalid="ignore"):
         y, blown = sto.solve_ode_batch(times, drivers, field, 1.0, substeps=1)
     assert blown.tolist() == [True, False]
-    assert np.isfinite(y).all()
+    # the blown row ends non-finite, the tame one stays finite
+    assert not np.isfinite(y[0, -1]) and np.isfinite(y[1]).all()
     with pytest.raises(ValueError, match="substeps must be >= 1"):
         sto.solve_ode_batch(times, drivers, field, 1.0, substeps=0)
 
