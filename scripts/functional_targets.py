@@ -1,8 +1,9 @@
 """Fit linear functionals of terminal signatures to the four built-in path
 functionals and tabulate test errors across truncation levels.
 
-Each run is configs/functional-terminal-square.json with its target, depth,
-seed and sample count replaced.
+The runs are configs/functional-terminal-square.json with its target, depth,
+seed and sample count replaced, one config per target. One `run_config` call
+runs them all and writes one fresh CSV and `.functionals.json`.
 
 Usage: python3 scripts/functional_targets.py [--out results/functional.csv]
 """
@@ -26,12 +27,14 @@ def main():
 
     configs = Path(__file__).resolve().parent.parent / "configs"
     base = json.loads((configs / "functional-terminal-square.json").read_text())
-    for i, target in enumerate(TARGETS):
-        cfg = ExperimentConfig.from_dict(
+    cfgs = [
+        ExperimentConfig.from_dict(
             dict(base, target=target, depths=[args.depth], seed=args.seed,
                  n_samples=args.samples)
         )
-        run_config(cfg, out=args.out, append=i > 0)
+        for target in TARGETS
+    ]
+    run_config(*cfgs, out=args.out)
     print(f"wrote {args.out}")
 
 

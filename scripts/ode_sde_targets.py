@@ -2,7 +2,9 @@
 functionals on signature streams, across truncation levels and depths.
 
 The runs are configs/ode-linear.json, the same with the tanh-bounded field,
-and configs/sde-gbm.json, each with its seed and sample count replaced.
+and configs/sde-gbm.json, each with its seed and sample count replaced. One
+`run_config` call runs all three and writes one fresh CSV and
+`.functionals.json`.
 
 Usage: python3 scripts/ode_sde_targets.py [--out results/odesde.csv]
 """
@@ -25,11 +27,11 @@ def main():
     ode_linear = json.loads((configs / "ode-linear.json").read_text())
     sde_gbm = json.loads((configs / "sde-gbm.json").read_text())
     ode_tanh = dict(ode_linear, field="tanh-bounded")
-    for i, payload in enumerate((ode_linear, ode_tanh, sde_gbm)):
-        cfg = ExperimentConfig.from_dict(
-            dict(payload, seed=args.seed, n_samples=args.samples)
-        )
-        run_config(cfg, out=args.out, append=i > 0)
+    cfgs = [
+        ExperimentConfig.from_dict(dict(payload, seed=args.seed, n_samples=args.samples))
+        for payload in (ode_linear, ode_tanh, sde_gbm)
+    ]
+    run_config(*cfgs, out=args.out)
     print(f"wrote {args.out}")
 
 

@@ -1,8 +1,8 @@
 """Command line entry points.
 
 `sigpath sig` prints the truncated signature of a CSV path; `sigpath run`
-executes an experiment config.  Exit codes: 0 success, 2 config/input error
-or out of memory, 3 numerical failure.
+runs one or more experiment configs into one fresh results file.  Exit codes:
+0 success, 2 config/input error or out of memory, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -46,18 +46,20 @@ def _cmd_sig(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    with open(args.config, "r", encoding="utf-8-sig") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError:
-            raise
-        except (RecursionError, ValueError) as err:
-            # past the parser's nesting or integer-digit limit
-            raise ConfigError(f"config {args.config}: {err}") from None
-    if args.seed is not None and isinstance(raw, dict):
-        raw["seed"] = args.seed
-    cfg = ExperimentConfig.from_dict(raw)
-    csv_path, _ = run_config(cfg, out=args.out, append=args.append)
+    cfgs = []
+    for path in args.config:  # every config is checked before any runs
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError:
+                raise
+            except (RecursionError, ValueError) as err:
+                # past the parser's nesting or integer-digit limit
+                raise ConfigError(f"config {path}: {err}") from None
+        if args.seed is not None and isinstance(raw, dict):
+            raw["seed"] = args.seed
+        cfgs.append(ExperimentConfig.from_dict(raw))
+    csv_path, _ = run_config(*cfgs, out=args.out)
     print(csv_path)
     return 0
 
@@ -75,14 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sig.add_argument("--level", type=int, default=None, help="truncation order")
     p_sig.set_defaults(func=_cmd_sig)
 
-    p_run = sub.add_parser("run", help="run an experiment config")
-    p_run.add_argument("--config", required=True, help="JSON experiment config")
+    p_run = sub.add_parser("run", help="run experiment configs into one results file")
+    p_run.add_argument(
+        "--config", required=True, action="append", help="JSON experiment config (repeatable)"
+    )
     p_run.add_argument("--out", default=None, help="results CSV path")
     p_run.add_argument("--seed", type=int, default=None, help="override config seed")
-    p_run.add_argument(
-        "--append", action="store_true",
-        help="append rows to an existing results file (schemas must match)",
-    )
     p_run.set_defaults(func=_cmd_run)
     return parser
 

@@ -466,45 +466,17 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_rows(path, rows, append=False):
-    """Write (or append) `rows`, dicts whose key order is the CSV header."""
-    header = ",".join(rows[0])
-    lines = [",".join(_format_cell(v) for v in row.values()) for row in rows]
-    append = append and os.path.exists(path) and os.path.getsize(path) > 0
-    with open(path, "a+" if append else "w", encoding="utf-8") as fh:
-        if append:
-            fh.seek(0)
-            text = fh.read()
-            if text.split("\n", 1)[0] != header:
-                raise ConfigError(f"refusing to append: schema of {path} does not match")
-            if not text.endswith("\n"):
-                # start on a new line, not on the end of the last row
-                lines.insert(0, "")
-        else:
-            lines.insert(0, header)
+def write_rows(path, rows):
+    """Write `rows`, dicts whose key order is the CSV header, to a fresh file."""
+    lines = [",".join(rows[0])]
+    lines += [",".join(_format_cell(v) for v in row.values()) for row in rows]
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(line + "\n" for line in lines))
 
 
 def _reports_path(csv_path: str) -> str:
     base = csv_path[:-4] if csv_path.endswith(".csv") else csv_path
     return base + ".functionals.json"
-
-
-def _existing_reports(path: str) -> dict:
-    """The fitted functionals already stored at `path` ({} if none), which
-    an appending run extends; an empty file holds none."""
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            existing = json.load(fh)
-        except (ValueError, RecursionError):
-            # malformed JSON (a ValueError too), or past the parser's
-            # nesting or integer-digit limit
-            existing = None
-    if not isinstance(existing, dict):
-        raise ConfigError(f"refusing to append: {path} is not a JSON object")
-    return existing
 
 
 # kind -> (runner, the defaults that differ from ExperimentConfig's)
@@ -521,28 +493,36 @@ EXPERIMENT_KINDS = {
 }
 
 
-def run_config(cfg: ExperimentConfig, out: str | None = None, append: bool = False):
-    """Run one experiment config and persist results; returns (csv_path, rows)."""
-    csv_path = out or f"{cfg.kind}-results.csv"
+def run_config(*cfgs: ExperimentConfig, out: str | None = None):
+    """Run one or more configs and write their rows to one fresh CSV, and
+    their fitted functionals to one fresh `.functionals.json` (a key repeated
+    across configs takes the later config's report); returns (csv_path,
+    rows). The configs must share a runner, and so a CSV header. That rule
+    and the output paths are checked before any config runs, and nothing is
+    written unless every config succeeds, so the files depend only on the
+    configs."""
+    runner = EXPERIMENT_KINDS[cfgs[0].kind][0]
+    if any(EXPERIMENT_KINDS[cfg.kind][0] is not runner for cfg in cfgs):
+        kinds = ", ".join(cfg.kind for cfg in cfgs)
+        raise ConfigError(f"configs of one run must write the same columns, got {kinds}")
+    csv_path = out or f"{cfgs[0].kind}-results.csv"
     reports_path = _reports_path(csv_path)
     if os.path.isdir(csv_path):
         raise ConfigError(f"results path {csv_path} is a directory")
     if not os.path.isdir(os.path.dirname(csv_path) or "."):
         raise ConfigError(f"directory of results path {csv_path} does not exist")
-    existing = {}
-    if cfg.kind in ("functional", "ode", "sde"):
-        if os.path.isdir(reports_path):
-            raise ConfigError(f"functionals path {reports_path} is a directory")
-        if append:
-            existing = _existing_reports(reports_path)
+    if cfgs[0].kind in ("functional", "ode", "sde") and os.path.isdir(reports_path):
+        raise ConfigError(f"functionals path {reports_path} is a directory")
+    rows, reports = [], {}
     # The run's one floating-point rule: nothing warns inside a run, and each
     # runner's result checks turn a non-finite value into FloatingPointError
     # (ODE blow-ups are excluded per path instead).
     with np.errstate(all="ignore"):
-        rows, reports = EXPERIMENT_KINDS[cfg.kind][0](cfg)
-    # a repeated key takes this run's report
-    reports = {**existing, **reports}
-    write_rows(csv_path, rows, append=append)
+        for cfg in cfgs:
+            cfg_rows, cfg_reports = runner(cfg)
+            rows += cfg_rows
+            reports.update(cfg_reports)
+    write_rows(csv_path, rows)
     if reports:
         with open(reports_path, "w", encoding="utf-8") as fh:
             json.dump(reports, fh, indent=2, sort_keys=True)

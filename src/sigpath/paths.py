@@ -295,7 +295,7 @@ def read_path_csv(source) -> PiecewiseLinearPath:
         times.append(row[0])
         values.append(row[1:])
     if len(times) < 2:
-        raise PathFormatError("line 2: need at least two breakpoints")
+        raise PathFormatError(f"line {rows[-1][0] + 1}: need at least two breakpoints")
     t_arr = np.asarray(times)
     # times are compared before any step is taken, which could overflow;
     # argmin finds the first failing step

@@ -12,7 +12,9 @@ over each chunk whole, to check the runner's slicing rather than the
 kernels, but snaps its reference to the nearest fine breakpoints itself.
 The levy mean square oracle is exact: each error is expanded by hand as a
 quadratic form in the standardized Gaussian increments.  The population
-Gram of terminal features is exact too; it reads the library's word order,
+moments are exact too: the expected signature stream, its Gram by the
+shuffle identity and the geometric Brownian target's cross and square
+moments by the Cameron-Martin shift.  They read the library's word order,
 Chen product and shuffles, which the tests above check on their own.
 """
 
@@ -407,47 +409,102 @@ def taylor_functional(a, b, y0, level):
     )
 
 
+def _gaussian_moments(mean, var, k_max):
+    """E[X^k] for k = 0..k_max of X ~ N(mean, var), by the recursion
+    E[X^k] = mean E[X^(k-1)] + (k - 1) var E[X^(k-2)]."""
+    out = [1.0, mean]
+    for k in range(2, k_max + 1):
+        out.append(mean * out[-1] + (k - 1) * var * out[-2])
+    return out[: k_max + 1]
+
+
+def expected_segment_exp(d, h, level, drift=0.0):
+    """E[exp(increment)] of one segment of the time-extended interpolation of
+    d-dimensional Brownian motion with drift, increment (h, sqrt(h) Z + drift h)
+    with Z ~ N(0, I_d): a level-major row over R^(d + 1) whose coordinate on
+    word w is h^{#0} prod_{l >= 1} E[(sqrt(h) Z + drift h)^{#l}] / |w|!."""
+    from sigpath.tensor import all_words
+
+    moments = _gaussian_moments(drift * h, h, level)
+    words = all_words(d + 1, level)
+    row = np.empty(len(words))
+    for i, w in enumerate(words):
+        coef = h ** w.count(0) / math.factorial(len(w))
+        for letter in range(1, d + 1):
+            coef *= moments[w.count(letter)]
+        row[i] = coef
+    return row
+
+
 def expected_terminal_signature(d, T, depth, level):
     """E[S_{0,T}] of the time-extended depth-`depth` dyadic interpolation of
     d-dimensional Brownian motion, a level-major row over R^(d + 1).
 
     The 2**depth segments are i.i.d. with increment (h, sqrt(h) Z), so by
     Chen's identity the expectation is the 2**depth-th Chen power of
-    E[exp(increment)], whose coordinate on word w is
-    h^{#0} prod_{l >= 1} E[(sqrt(h) Z)^{#l}] / |w|!, with the Gaussian
-    moments E[Z^k] = (k - 1)!! for even k and 0 for odd k."""
-    from sigpath.tensor import all_words, mul, word_index
+    E[exp(increment)] (`expected_segment_exp`), taken by repeated squaring."""
+    from sigpath.tensor import mul
 
-    m, h = d + 1, T / 2**depth
-    words = all_words(m, level)
-    segment = np.zeros(len(words))
-    for w in words:
-        coef = h ** w.count(0) / math.factorial(len(w))
-        for letter in range(1, m):
-            k = w.count(letter)
-            coef *= 0.0 if k % 2 else h ** (k // 2) * math.prod(range(k - 1, 0, -2))
-        segment[word_index(w, m)] = coef
-    out = segment
+    out = expected_segment_exp(d, T / 2**depth, level)
     for _ in range(depth):
-        out = mul(out, out, m)
+        out = mul(out, out, d + 1)
     return out
+
+
+def expected_signature_stream(d, T, depth, level, drift=0.0):
+    """E[S_{0,t_k}] at every breakpoint t_k = k T / 2**depth, k = 0..2**depth,
+    of the same interpolation, with the Brownian coordinates shifted by
+    drift * t: rows (2**depth + 1, D), row k the k-th Chen power of the
+    segment expectation."""
+    from sigpath.tensor import mul
+
+    segment = expected_segment_exp(d, T / 2**depth, level, drift)
+    rows = [np.eye(1, segment.size)[0]]  # the unit tensor
+    for _ in range(2**depth):
+        rows.append(mul(rows[-1], segment, d + 1))
+    return np.array(rows)
+
+
+def gram_from_expected(expected, dim, level):
+    """E[S^u S^v] over the words u, v of length <= level, level-major, from
+    the expected signature `expected` (..., D) at level 2 * level over R^dim:
+    the shuffle identity S^u S^v = S^(u sh v) makes each entry a sum of
+    expected coordinates. Leading axes of `expected` carry through."""
+    from sigpath.tensor import all_words, shuffle, word_index
+
+    words = all_words(dim, level)
+    gram = np.empty(expected.shape[:-1] + (len(words), len(words)))
+    for i, u in enumerate(words):
+        for j, v in enumerate(words[: i + 1]):
+            product = shuffle(u, v)
+            idx = [word_index(w, dim) for w in product]
+            moment = expected[..., idx] @ np.array(list(product.values()), dtype=float)
+            gram[..., i, j] = gram[..., j, i] = moment
+    return gram
 
 
 def population_gram(d, T, depth, level):
     """E[S^u S^v] over the words u, v of length <= level of the terminal
-    signature above, level-major: the shuffle identity S^u S^v = S^(u sh v)
-    reads it off the expected signature at level 2 * level."""
-    from sigpath.tensor import all_words, shuffle, word_index
-
-    m = d + 1
+    signature above, level-major."""
     expected = expected_terminal_signature(d, T, depth, 2 * level)
-    words = all_words(m, level)
-    gram = np.empty((len(words), len(words)))
-    for i, u in enumerate(words):
-        for j, v in enumerate(words[: i + 1]):
-            moment = sum(c * expected[word_index(w, m)] for w, c in shuffle(u, v).items())
-            gram[i, j] = gram[j, i] = moment
-    return gram
+    return gram_from_expected(expected, d + 1, level)
+
+
+def gbm_population_forms(a, b, y0, T, depth, level):
+    """The population moments, at each breakpoint t_k of the depth-`depth`
+    grid on [0, T], of the sde target y_t = y0 exp(a t + b W_t) against the
+    stopped features S_t (d = 1): (gram, cross, square) of shapes
+    (K, D, D), (K, D) and (K,) with K = 2**depth + 1, holding E[S_t S_t'],
+    E[y_t S_t] and E[y_t^2].  By the Cameron-Martin shift,
+    E[exp(b W_t) F(W)] = exp(b^2 t / 2) E[F(W + b s)], so E[y_t S_t] is
+    y0 exp(a t + b^2 t / 2) times the expected stream with segment
+    increments (h, sqrt(h) Z + b h); E[y_t^2] = y0^2 exp(2 a t + 2 b^2 t)."""
+    times = np.arange(2**depth + 1) * (T / 2**depth)
+    gram = gram_from_expected(expected_signature_stream(1, T, depth, 2 * level), 2, level)
+    shifted = expected_signature_stream(1, T, depth, level, drift=b)
+    cross = (y0 * np.exp(a * times + b * b * times / 2))[:, None] * shifted
+    square = y0 * y0 * np.exp(2 * a * times + 2 * b * b * times)
+    return gram, cross, square
 
 
 def series_product_1d(a, b):

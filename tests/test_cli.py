@@ -7,6 +7,8 @@ import importlib.util
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -27,7 +29,7 @@ from helpers_oracle import (
     levy_square_draws,
     refined_holder_oracle,
 )
-from sigpath.cli import main
+from sigpath.cli import build_parser, main
 from sigpath.experiments import (
     EXPERIMENT_KINDS,
     FUNCTIONAL_TARGETS,
@@ -90,6 +92,33 @@ def test_sig_command_default_level(tmp_path, capsys):
     assert main(["sig", "--input", str(csv)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["level"] == 4
+
+
+def readme_commands():
+    """The `sigpath ...` lines of README.md's sh blocks, split as a shell
+    splits them, without the program name."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.S | re.M):
+        for line in block.splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["sigpath"]:
+                commands.append(words[1:])
+    return commands
+
+
+README_COMMANDS = readme_commands()
+
+
+def test_readme_shows_both_commands():
+    assert {argv[0] for argv in README_COMMANDS} == {"sig", "run"}
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=[" ".join(a) for a in README_COMMANDS])
+def test_readme_commands_parse(argv):
+    # parsed only, not run: a stale or renamed flag exits 2 here
+    args = build_parser().parse_args(argv)
+    assert args.command == argv[0]
 
 
 def sig_pin_csv(d):
@@ -228,75 +257,185 @@ def test_seed_override_changes_hash(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
-def test_append_guards_schema(tmp_path):
-    cfg = write_config(tmp_path, "exp.json", small_functional_config())
-    out = tmp_path / "res.csv"
-    out.write_text("something,else\n1,2\n")
-    assert main(["run", "--config", cfg, "--out", str(out), "--append"]) == 2
+TWO_MOMENTS = [
+    {"kind": "moments", "depths": [2], "n_samples": 10},
+    {"kind": "moments", "depths": [3, 2], "n_samples": 12, "seed": 5},
+]
+# Config lists whose kinds share a runner, so one CSV header, each with the
+# --seed it runs under
+SHARED_RUNNER_RUNS = {
+    "two-functional-targets": (
+        [small_functional_config(), small_functional_config(target="integral", seed=2)],
+        None,
+    ),
+    "functional-ode-sde": (
+        [
+            small_functional_config(),
+            {"kind": "ode", "depths": [3], "levels": [1, 2], "n_samples": 10, "lam": 0.0},
+            {"kind": "sde", "depths": [3], "levels": [1], "n_samples": 10},
+        ],
+        None,
+    ),
+    "two-moments": (TWO_MOMENTS, None),
+    "two-moments-seed-9": (TWO_MOMENTS, 9),  # --seed replaces every config's seed
+}
 
 
-def test_append_extends_matching_schema(tmp_path):
-    cfg = write_config(tmp_path, "exp.json", small_functional_config())
-    out = tmp_path / "res.csv"
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    first = out.read_text()
-    n_lines = len(first.splitlines())
-    # the second input lost its final newline: the appended rows must still
-    # start on a line of their own
-    for existing in (first, first.rstrip("\n")):
-        out.write_text(existing)
-        assert main(["run", "--config", cfg, "--out", str(out), "--append"]) == 0
-        lines = out.read_text().splitlines()
-        assert len(lines) == 2 * n_lines - 1
-        n_fields = lines[0].count(",")
-        assert all(line.count(",") == n_fields for line in lines)
-
-
-def test_append_merges_fitted_functionals(tmp_path):
-    def run(out, append, **overrides):
-        cfg = write_config(tmp_path, "exp.json", small_functional_config(**overrides))
-        argv = ["run", "--config", cfg, "--out", str(tmp_path / out)]
-        assert main(argv + ["--append"] * append) == 0
-        return json.loads((tmp_path / out).with_suffix(".functionals.json").read_text())
-
-    first = run("res.csv", False)
-    integral = run("res.csv", True, target="integral", seed=2)
-    assert set(integral) == set(first) | {
-        f"integral/depth=4/level={level}" for level in (1, 2)
-    }
-    assert all(integral[key] == first[key] for key in first)
-    # a repeated key takes the latest run's report
-    merged = run("res.csv", True, seed=3)
-    alone = run("alone.csv", False, seed=3)
-    assert set(merged) == set(integral) and alone != first
-    assert all(merged[key] == alone[key] for key in alone)
-    assert all(merged[key] == integral[key] for key in set(integral) - set(alone))
+@pytest.mark.parametrize("payloads, seed", SHARED_RUNNER_RUNS.values(), ids=SHARED_RUNNER_RUNS)
+def test_repeated_config_writes_one_file_in_config_order(tmp_path, capsys, payloads, seed):
+    extra = [] if seed is None else ["--seed", str(seed)]
+    paths = [write_config(tmp_path, f"c{i}.json", p) for i, p in enumerate(payloads)]
+    argv = ["run", "--out", str(tmp_path / "all.csv"), *extra]
+    for path in paths:
+        argv += ["--config", path]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"{tmp_path / 'all.csv'}\n"
+    single = []
+    for i, path in enumerate(paths):
+        out = tmp_path / f"one{i}.csv"
+        assert main(["run", "--config", path, "--out", str(out), *extra]) == 0
+        single.append(out.read_text().splitlines())
+    # one header, then each config's rows in the order given
+    lines = (tmp_path / "all.csv").read_text().splitlines()
+    assert all(rows[0] == lines[0] for rows in single)
+    assert lines == [lines[0], *(row for rows in single for row in rows[1:])]
+    # the same bytes as the library call with the same configs
+    if seed is not None:
+        payloads = [dict(p, seed=seed) for p in payloads]
+    cfgs = [ExperimentConfig.from_dict(p) for p in payloads]
+    _, rows = run_config(*cfgs, out=str(tmp_path / "lib.csv"))
+    assert len(rows) == len(lines) - 1
+    names = ["all.csv", "lib.csv"]
+    if payloads[0]["kind"] != "moments":
+        names += ["all.functionals.json", "lib.functionals.json"]
+    data = [(tmp_path / name).read_bytes() for name in names]
+    assert data[0::2] == data[1::2]
 
 
 @pytest.mark.parametrize(
-    "payload, empty",
+    "payloads",
     [
-        ({"kind": "moments", "depths": [2], "n_samples": 10}, ["res.csv"]),
-        (small_functional_config(), ["res.functionals.json"]),
-        (small_functional_config(), ["res.csv", "res.functionals.json"]),
+        [small_functional_config(), small_functional_config(target="integral", seed=2),
+         small_functional_config(seed=3)],
+        [{"kind": "sde", "depths": [3], "levels": [1, 2], "n_samples": 10, "seed": s}
+         for s in (1, 4)],
     ],
-    ids=["moments-csv", "functional-json", "functional-both"],
+    ids=["functional", "sde"],
 )
-def test_append_onto_empty_files_writes_a_fresh_run(tmp_path, payload, empty):
-    # an empty existing file is treated as absent
+def test_repeated_functionals_key_takes_the_later_report(tmp_path, payloads):
+    reports = []
+    for i, payload in enumerate(payloads):
+        run_config(ExperimentConfig.from_dict(payload), out=str(tmp_path / f"{i}.csv"))
+        reports.append(json.loads((tmp_path / f"{i}.functionals.json").read_text()))
+    run_config(*(ExperimentConfig.from_dict(p) for p in payloads), out=str(tmp_path / "all.csv"))
+    merged = json.loads((tmp_path / "all.functionals.json").read_text())
+    want = {}
+    for report in reports:
+        want.update(report)
+    assert merged == want
+    # the repeated keys hold the last report, which differs from the first
+    last = reports[-1]
+    assert set(last) & set(reports[0]) and all(merged[k] == last[k] for k in last)
+    assert any(reports[0][k] != last[k] for k in set(last) & set(reports[0]))
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [("levy", "moments"), ("moments", "functional"), ("functional", "levy"),
+     ("sde", "sde", "moments")],
+    ids=lambda kinds: "-".join(kinds),
+)
+def test_configs_writing_other_columns_exit_2_before_any_run(
+    tmp_path, monkeypatch, capsys, kinds
+):
+    payloads = {
+        "levy": {"kind": "levy", "depths": [2, 3], "n_samples": 10, "n_max": 7},
+        "moments": {"kind": "moments", "depths": [3], "n_samples": 10},
+        "functional": small_functional_config(),
+        "sde": {"kind": "sde", "depths": [3], "levels": [1], "n_samples": 10},
+    }
+
+    def stub(kind):
+        # one stub per kind: kinds with one stub would share a runner
+        def never(cfg):
+            raise AssertionError(f"the {kind} runner was called")
+
+        return never
+
+    for kind in set(kinds):
+        defaults = EXPERIMENT_KINDS[kind][1]
+        monkeypatch.setitem(experiments.EXPERIMENT_KINDS, kind, (stub(kind), defaults))
+    argv = ["run", "--out", str(tmp_path / "o.csv")]
+    for i, kind in enumerate(kinds):
+        argv += ["--config", write_config(tmp_path, f"c{i}.json", payloads[kind])]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: configs of one run must write the same columns, got {', '.join(kinds)}\n"
+    )
+    assert list(tmp_path.glob("o.*")) == []
+
+
+def test_a_failing_config_writes_nothing(tmp_path, capsys):
+    # the first config runs, the second overflows its features: exit 3, and
+    # the files of an earlier run stay as they were
+    good = write_config(tmp_path, "good.json", small_functional_config())
+    bad = write_config(
+        tmp_path, "bad.json",
+        {"kind": "functional", "T": 1e160, "depths": [2], "levels": [3],
+         "n_samples": 10, "lam": 0.0},
+    )
+    out = tmp_path / "o.csv"
+    out.write_text("earlier\n")
+    assert main(["run", "--config", good, "--config", bad, "--out", str(out)]) == 3
+    assert "non-finite feature entry" in capsys.readouterr().err
+    assert out.read_text() == "earlier\n"
+    assert not (tmp_path / "o.functionals.json").exists()
+
+
+# past json's parser limits: a RecursionError and a ValueError, not a
+# JSONDecodeError
+DEEP_JSON = "[" * 100_000 + "]" * 100_000 + "\n"
+LONG_INT_JSON = '{"seed": ' + "1" * 5000 + "}\n"
+
+
+@pytest.mark.parametrize(
+    "stored",
+    ["", "something,else\n1,2\n", "experiment,target\nfunctional,x", "[1, 2]\n",
+     "not json\n", DEEP_JSON, LONG_INT_JSON],
+    ids=["empty", "other-header", "no-final-newline", "list", "not-json",
+         "deep-nesting", "long-int"],
+)
+@pytest.mark.parametrize("kind", ["functional", "moments"])
+def test_existing_outputs_are_replaced_by_a_fresh_run(tmp_path, stored, kind):
+    # a run never reads its output files: whatever they hold, it writes the
+    # bytes of a run into an empty directory (a moments run writes no
+    # functionals file)
+    payload = {
+        "functional": small_functional_config(),
+        "moments": {"kind": "moments", "depths": [2], "n_samples": 10},
+    }[kind]
     cfg = write_config(tmp_path, "exp.json", payload)
-    fresh, out = tmp_path / "fresh", tmp_path / "appended"
+    fresh, out = tmp_path / "fresh", tmp_path / "stale"
     fresh.mkdir()
     out.mkdir()
     assert main(["run", "--config", cfg, "--out", str(fresh / "res.csv")]) == 0
-    for name in empty:
-        (out / name).write_bytes(b"")
-    argv = ["run", "--config", cfg, "--out", str(out / "res.csv"), "--append"]
-    assert main(argv) == 0
+    for name in ("res.csv", "res.functionals.json")[: 2 if kind == "functional" else 1]:
+        (out / name).write_text(stored)
+    assert main(["run", "--config", cfg, "--out", str(out / "res.csv")]) == 0
     names = sorted(p.name for p in fresh.iterdir())
     assert sorted(p.name for p in out.iterdir()) == names
     for name in names:
         assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_append_flag_is_gone(tmp_path, capsys):
+    cfg = write_config(tmp_path, "exp.json", small_functional_config())
+    out = tmp_path / "res.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", cfg, "--out", str(out), "--append"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --append" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_byte_order_marks_in_inputs_are_ignored(tmp_path, capsys):
@@ -317,32 +456,6 @@ def test_byte_order_marks_in_inputs_are_ignored(tmp_path, capsys):
         )
     assert (tmp_path / "utf-8-sig" / "path.csv").read_bytes().startswith(b"\xef\xbb\xbf")
     assert stdout[0] == stdout[1] and outputs[0] == outputs[1]
-
-
-# past json's parser limits: a RecursionError and a ValueError, not a
-# JSONDecodeError
-DEEP_JSON = "[" * 100_000 + "]" * 100_000 + "\n"
-LONG_INT_JSON = '{"seed": ' + "1" * 5000 + "}\n"
-
-
-@pytest.mark.parametrize(
-    "stored",
-    ["[1, 2]\n", "not json\n", DEEP_JSON, LONG_INT_JSON],
-    ids=["list", "not-json", "deep-nesting", "long-int"],
-)
-def test_append_onto_a_non_object_functionals_file_exits_2(tmp_path, monkeypatch, stored):
-    cfg = write_config(tmp_path, "exp.json", small_functional_config())
-    out, side = tmp_path / "res.csv", tmp_path / "res.functionals.json"
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    csv_bytes = out.read_bytes()
-    side.write_text(stored)
-
-    def never(cfg):
-        raise AssertionError("the experiment ran before the functionals were read")
-
-    monkeypatch.setitem(experiments.EXPERIMENT_KINDS, "functional", (never, {}))
-    assert main(["run", "--config", cfg, "--out", str(out), "--append"]) == 2
-    assert out.read_bytes() == csv_bytes and side.read_text() == stored
 
 
 def _run_script(monkeypatch, name, out, *args):

@@ -461,6 +461,20 @@ def test_csv_stream_byte_order_mark_is_dropped():
     assert np.array_equal(marked.values, plain.values)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [("t,x1\n", 2), ("t,x1\n\n\n0,1\n", 5), ("t,x1\n0,0", 3)],
+    ids=["header-only", "blank-lines-then-one-row", "one-row"],
+)
+def test_too_few_breakpoints_names_the_line_after_the_last(text, line):
+    # the missing breakpoint belongs on the line after the last non-blank one,
+    # not on a blank line 2
+    with pytest.raises(
+        pth.PathFormatError, match=f"^line {line}: need at least two breakpoints$"
+    ):
+        pth.read_path_csv(io.StringIO(text))
+
+
 def test_csv_errors_carry_line_numbers(tmp_path):
     with pytest.raises(pth.PathFormatError, match="line 1: empty file"):
         pth.read_path_csv(io.StringIO(""))
