@@ -9,7 +9,6 @@ Usage: python3 scripts/functional_targets.py [--out results/functional.csv]
 """
 
 import argparse
-import json
 from pathlib import Path
 
 from sigpath.experiments import ExperimentConfig, run_config
@@ -26,11 +25,10 @@ def main():
     args = ap.parse_args()
 
     configs = Path(__file__).resolve().parent.parent / "configs"
-    base = json.loads((configs / "functional-terminal-square.json").read_text())
     cfgs = [
-        ExperimentConfig.from_dict(
-            dict(base, target=target, depths=[args.depth], seed=args.seed,
-                 n_samples=args.samples)
+        ExperimentConfig.load(
+            configs / "functional-terminal-square.json", target=target,
+            depths=[args.depth], seed=args.seed, n_samples=args.samples,
         )
         for target in TARGETS
     ]

@@ -10,7 +10,6 @@ Usage: python3 scripts/ode_sde_targets.py [--out results/odesde.csv]
 """
 
 import argparse
-import json
 from pathlib import Path
 
 from sigpath.experiments import ExperimentConfig, run_config
@@ -24,12 +23,11 @@ def main():
     args = ap.parse_args()
 
     configs = Path(__file__).resolve().parent.parent / "configs"
-    ode_linear = json.loads((configs / "ode-linear.json").read_text())
-    sde_gbm = json.loads((configs / "sde-gbm.json").read_text())
-    ode_tanh = dict(ode_linear, field="tanh-bounded")
+    runs = [("ode-linear.json", {}), ("ode-linear.json", {"field": "tanh-bounded"}),
+            ("sde-gbm.json", {})]
     cfgs = [
-        ExperimentConfig.from_dict(dict(payload, seed=args.seed, n_samples=args.samples))
-        for payload in (ode_linear, ode_tanh, sde_gbm)
+        ExperimentConfig.load(configs / name, seed=args.seed, n_samples=args.samples, **extra)
+        for name, extra in runs
     ]
     run_config(*cfgs, out=args.out)
     print(f"wrote {args.out}")

@@ -46,19 +46,9 @@ def _cmd_sig(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfgs = []
-    for path in args.config:  # every config is checked before any runs
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError:
-                raise
-            except (RecursionError, ValueError) as err:
-                # past the parser's nesting or integer-digit limit
-                raise ConfigError(f"config {path}: {err}") from None
-        if args.seed is not None and isinstance(raw, dict):
-            raw["seed"] = args.seed
-        cfgs.append(ExperimentConfig.from_dict(raw))
+    # every config is read and checked before any runs
+    overrides = {} if args.seed is None else {"seed": args.seed}
+    cfgs = [ExperimentConfig.load(path, **overrides) for path in args.config]
     csv_path, _ = run_config(*cfgs, out=args.out)
     print(csv_path)
     return 0
@@ -91,9 +81,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ConfigError, PathFormatError, OSError, UnicodeDecodeError, json.JSONDecodeError
-    ) as err:
+    except (ConfigError, PathFormatError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except MemoryError as err:

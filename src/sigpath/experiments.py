@@ -156,6 +156,17 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown config key {key!r}")
         return cls(**{**defaults, **raw})
 
+    @classmethod
+    def load(cls, path, **overrides) -> "ExperimentConfig":
+        """The config of the JSON file `path` with `overrides` laid over its
+        keys; any parse or config error is a ConfigError naming the file."""
+        with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is ignored
+            try:
+                raw = json.load(fh)
+                return cls.from_dict({**raw, **overrides} if isinstance(raw, dict) else raw)
+            except (ValueError, RecursionError) as err:
+                raise ConfigError(f"config {path}: {err}") from None
+
     def __post_init__(self):
         c = self
         _lookup(EXPERIMENT_KINDS, c.kind, "experiment kind")
@@ -360,8 +371,10 @@ def run_levy(cfg: ExperimentConfig):
             coarse = _upsample_dyadic(fine[:, ::stride, :], eval_depth - dep)
             delta = functional.apply_stream(eval_times, coarse) - ref_vals
             out[i] = weights * np.abs(delta) ** cfg.p
+            nonzero[i] |= delta.any()
 
     sums = [0.0] * len(depths)
+    nonzero = np.zeros(len(depths), dtype=bool)  # some delta of the depth is not 0
     t0 = time.perf_counter()
     for start in range(0, cfg.n_samples, _LEVY_CHUNK):
         stop = min(start + _LEVY_CHUNK, cfg.n_samples)
@@ -371,9 +384,11 @@ def run_levy(cfg: ExperimentConfig):
             slice_terms(idx, terms[:, lo - start : lo - start + idx.size])
         sums = [acc + float(np.sum(t)) for acc, t in zip(sums, terms)]
     distances = [(total / cfg.n_samples) ** (1.0 / cfg.p) for total in sums]
-    for dep, dist in zip(depths, distances):
+    for dep, dist, moved in zip(depths, distances, nonzero):
         if not np.isfinite(dist):
             raise FloatingPointError(f"non-finite distance at depth {dep}")
+        if dist == 0 and moved:
+            raise FloatingPointError(f"distance underflows to 0 at depth {dep}")
     if len(distances) >= 2 and all(d > 0 for d in distances):
         slope = float(np.polyfit(depths, np.log2(distances), 1)[0])
     else:
@@ -493,7 +508,7 @@ EXPERIMENT_KINDS = {
 }
 
 
-def run_config(*cfgs: ExperimentConfig, out: str | None = None):
+def run_config(cfg: ExperimentConfig, *more: ExperimentConfig, out: str | None = None):
     """Run one or more configs and write their rows to one fresh CSV, and
     their fitted functionals to one fresh `.functionals.json` (a key repeated
     across configs takes the later config's report); returns (csv_path,
@@ -501,25 +516,26 @@ def run_config(*cfgs: ExperimentConfig, out: str | None = None):
     and the output paths are checked before any config runs, and nothing is
     written unless every config succeeds, so the files depend only on the
     configs."""
-    runner = EXPERIMENT_KINDS[cfgs[0].kind][0]
-    if any(EXPERIMENT_KINDS[cfg.kind][0] is not runner for cfg in cfgs):
-        kinds = ", ".join(cfg.kind for cfg in cfgs)
+    cfgs = (cfg, *more)
+    runner = EXPERIMENT_KINDS[cfg.kind][0]
+    if any(EXPERIMENT_KINDS[c.kind][0] is not runner for c in more):
+        kinds = ", ".join(c.kind for c in cfgs)
         raise ConfigError(f"configs of one run must write the same columns, got {kinds}")
-    csv_path = out or f"{cfgs[0].kind}-results.csv"
+    csv_path = out or f"{cfg.kind}-results.csv"
     reports_path = _reports_path(csv_path)
     if os.path.isdir(csv_path):
         raise ConfigError(f"results path {csv_path} is a directory")
     if not os.path.isdir(os.path.dirname(csv_path) or "."):
         raise ConfigError(f"directory of results path {csv_path} does not exist")
-    if cfgs[0].kind in ("functional", "ode", "sde") and os.path.isdir(reports_path):
+    if cfg.kind in ("functional", "ode", "sde") and os.path.isdir(reports_path):
         raise ConfigError(f"functionals path {reports_path} is a directory")
     rows, reports = [], {}
     # The run's one floating-point rule: nothing warns inside a run, and each
     # runner's result checks turn a non-finite value into FloatingPointError
     # (ODE blow-ups are excluded per path instead).
     with np.errstate(all="ignore"):
-        for cfg in cfgs:
-            cfg_rows, cfg_reports = runner(cfg)
+        for c in cfgs:
+            cfg_rows, cfg_reports = runner(c)
             rows += cfg_rows
             reports.update(cfg_reports)
     write_rows(csv_path, rows)

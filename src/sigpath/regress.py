@@ -133,7 +133,10 @@ def _weighted_lp(residuals, weights, p):
         raise ValueError(f"p must lie in [1, inf), got {p!r}")
     terms = np.abs(residuals) ** p
     total = float(np.sum((weights * terms).ravel()))
-    return float((total / residuals.shape[0]) ** (1.0 / p))
+    norm = float((total / residuals.shape[0]) ** (1.0 / p))
+    if norm == 0 and residuals.any():  # every non-zero |r|^p underflowed
+        raise FloatingPointError(f"L^{p:g} norm of non-zero residuals underflows to 0")
+    return norm
 
 
 def _functional_from_vector(beta: np.ndarray, dim: int, level: int) -> LinearFunctional:

@@ -458,9 +458,9 @@ def test_byte_order_marks_in_inputs_are_ignored(tmp_path, capsys):
     assert stdout[0] == stdout[1] and outputs[0] == outputs[1]
 
 
-def _run_script(monkeypatch, name, out, *args):
+def _run_script(monkeypatch, name, out, *args, script_dir=SCRIPT_DIR):
     """Run a sweep script's `main` in-process on the given arguments."""
-    spec = importlib.util.spec_from_file_location(name[:-3], SCRIPT_DIR / name)
+    spec = importlib.util.spec_from_file_location(name[:-3], script_dir / name)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     monkeypatch.setattr(sys, "argv", [name, "--out", str(out), *args])
@@ -544,7 +544,66 @@ def test_config_errors_exit_2(tmp_path, capsys):
     for i, (payload, message) in enumerate(bad):
         cfg = write_config(tmp_path, f"bad{i}.json", payload)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
-        assert f"error: {message}" in capsys.readouterr().err, payload
+        assert f"error: config {cfg}: {message}" in capsys.readouterr().err, payload
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (json.dumps(small_functional_config(alpah=0.4)).encode(),
+         "unknown config key 'alpah'"),
+        (b'{"kind": "functional", seed: 1}\n',
+         "Expecting property name enclosed in double quotes"),
+        ('{"kind": "caf\u00e9"}\n'.encode("latin-1"), "codec can't decode byte 0xe9"),
+        (json.dumps({"kind": "levy", "d": 1}).encode(), "levy experiment needs d = 2"),
+    ],
+    ids=["unknown-key", "broken-json", "non-utf8", "levy-d"],
+)
+def test_a_bad_config_is_named_before_any_config_runs(
+    tmp_path, monkeypatch, capsys, content, message
+):
+    def never(cfg):
+        raise AssertionError("a config ran before every config was checked")
+
+    monkeypatch.setitem(experiments.EXPERIMENT_KINDS, "functional", (never, {}))
+    good = write_config(tmp_path, "good.json", small_functional_config())
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", good, "--config", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {bad}: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_load_is_from_dict_of_the_file_under_its_overrides(name):
+    raw = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
+    for overrides in ({}, {"seed": 7}, {"seed": 7, "n_samples": 200, "depths": [4]}):
+        loaded = ExperimentConfig.load(CONFIG_DIR / name, **overrides)
+        built = ExperimentConfig.from_dict({**raw, **overrides})
+        assert loaded == built and loaded.config_hash() == built.config_hash()
+
+
+def test_sweep_script_reads_byte_order_marked_configs(tmp_path, monkeypatch):
+    # a copy of the script next to byte-order-marked copies of its configs
+    name = "ode_sde_targets.py"
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "scripts" / name).write_bytes((SCRIPT_DIR / name).read_bytes())
+    for config in ("ode-linear.json", "sde-gbm.json"):
+        text = (CONFIG_DIR / config).read_text(encoding="utf-8")
+        (tmp_path / "configs" / config).write_text(text, encoding="utf-8-sig")
+    marked = _run_script(
+        monkeypatch, name, tmp_path / "marked.csv", "--samples", "20",
+        script_dir=tmp_path / "scripts",
+    )
+    assert marked == _run_script(monkeypatch, name, tmp_path / "plain.csv", "--samples", "20")
+
+
+def test_run_config_needs_a_config():
+    with pytest.raises(TypeError, match="missing 1 required positional argument: 'cfg'"):
+        run_config()
 
 
 # every config field but `kind`, which is looked up before any field check
@@ -751,6 +810,11 @@ _OVERFLOW_AT_HUGE_T = {
     "levy": "non-finite distance at depth 3",
     "moments": "non-finite moment sums at depth 3 with beta=0.01",
 }
+# at T = 2**-998 every |r|^2 of these kinds underflows to 0
+_UNDERFLOW_AT_TINY_T = {
+    "functional": "L^2 norm of non-zero residuals underflows to 0",
+    "levy": "distance underflows to 0 at depth 3",
+}
 
 
 def extreme_T_config(kind, T):
@@ -769,7 +833,10 @@ def test_extreme_T_exits_2_or_3_without_warning(tmp_path, capsys, kind, T):
     code = main(["run", "--config", cfg, "--out", str(out)])
     err = capsys.readouterr().err
     if not 2.0**-998 <= T < 2.0**1000:
-        assert (code, err) == (2, "error: T must lie in [2**-998, 2**1000)\n")
+        assert (code, err) == (2, f"error: config {cfg}: T must lie in [2**-998, 2**1000)\n")
+    elif T < 1 and kind in _UNDERFLOW_AT_TINY_T:
+        assert code == 3 and not out.exists()
+        assert err == f"numerical failure: {_UNDERFLOW_AT_TINY_T[kind]}\n"
     elif T < 1:  # the smallest accepted T runs
         assert code == 0 and out.exists()
     else:
@@ -796,8 +863,9 @@ def test_overflow_under_python_W_error_exits_3_without_traceback(tmp_path):
 def check_example_hashes(hashes, name):
     """Each output of `name` is the table's, and so are its bytes where the
     table pins them.  A null entry is an output whose bytes move with the BLAS
-    thread count (the `lam: 0` ode and sde fits, until ROADMAP item 1): only
-    that it is written is checked."""
+    thread count (the `lam: 0` ode and sde fits: the bits of LAPACK `gelsd`,
+    which `np.linalg.lstsq` calls, depend on it): only that it is written is
+    checked."""
     expected = EXAMPLE_HASHES[name]
     seen = {k: v if expected.get(k) else None for k, v in hashes.items()}
     assert seen == expected, mismatch_note()
@@ -991,6 +1059,13 @@ def test_singular_ridge_solve_exits_3(tmp_path):
         # finite fits whose |residual|^p overflows
         ({"kind": "functional", "depths": [3], "levels": [1], "n_samples": 20,
           "p": 1e6}, "bad error value inf at depth 3, level 1"),
+        # ... and whose every |residual|^p underflows (at p 30 the errors are
+        # 7.4e-8 and 4.8e-8), as does every levy term (at p 400 the
+        # distances are 0.35 and 0.24)
+        ({"kind": "functional", "depths": [4], "levels": [2], "n_samples": 50,
+          "p": 60}, "L^60 norm of non-zero residuals underflows to 0"),
+        ({"kind": "levy", "n_max": 9, "depths": [4, 5], "n_samples": 10, "p": 800},
+         "distance underflows to 0 at depth 4"),
         # the square sum overflows while every weight stays finite; at 13.4
         # the squared estimate would overflow too
         *(({"kind": "moments", "depths": [4], "n_samples": 200, "beta": beta,
@@ -1000,7 +1075,8 @@ def test_singular_ridge_solve_exits_3(tmp_path):
     ids=["ode-all-excluded", "functional-feature-overflow",
          "ode-feature-overflow", "ridge-default-gram-overflow",
          "ridge-gram-overflow", "levy-distance-overflow",
-         "functional-error-overflow", "moments-beta-13.2",
+         "functional-error-overflow", "functional-error-underflow",
+         "levy-distance-underflow", "moments-beta-13.2",
          "moments-beta-13.4"],
 )
 def test_overflow_or_empty_run_exits_3(tmp_path, capsys, payload, message):
@@ -1204,6 +1280,19 @@ def test_levy_time_coordinate_distance_is_zero():
     )
     rows, _ = run_levy(cfg)
     assert all(r["distance"] <= 1e-12 for r in rows)
+
+
+def test_levy_zero_distance_stays_legal_where_every_delta_is_zero(tmp_path):
+    # the time coordinate is exact at every depth, so no |delta|^p underflows
+    cfg = write_config(
+        tmp_path, "cfg.json",
+        {"kind": "levy", "target": "time-coordinate", "n_max": 9, "depths": [4, 5],
+         "n_samples": 10, "p": 800},
+    )
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        assert [row["distance"] for row in csv.DictReader(fh)] == ["0.0", "0.0"]
 
 
 def oracle_levy_config(target, n_samples):
